@@ -8,8 +8,8 @@ mutual-argmax pairs from the transport plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -59,11 +59,6 @@ def embed_sentences(seqs: List[List[int]], params: ModelParams,
             raise ValueError(f"sentence {i} has no content tokens")
         out[i] = rows.mean(axis=0)
     return out
-
-
-def sentence_embed(ids: Sequence[int], params: ModelParams,
-                   layer: int) -> np.ndarray:
-    return embed_sentences([list(ids)], params, layer)[0]
 
 
 @dataclass
@@ -138,28 +133,16 @@ def mutual_argmax_pairs(plan: np.ndarray) -> Set[Pair]:
 
 
 def ot_align(e_states: np.ndarray, f_states: np.ndarray, eps: float = 0.1,
-             iters: int = 200, tol: float = 1e-6,
-             extraction: str = "mutual_argmax",
-             threshold: float = 0.5) -> Tuple[Set[Pair], np.ndarray, bool]:
-    """Predicted token-index pairs from an OT plan over 1 - cosine costs.
-
-    `extraction` is "mutual_argmax" (default) or "threshold", which keeps
-    every cell at least `threshold` times the plan maximum.
-    """
+             iters: int = 200,
+             tol: float = 1e-6) -> Tuple[Set[Pair], np.ndarray, bool]:
+    """Mutual-argmax token-index pairs of an OT plan over 1 - cosine costs."""
     if e_states.shape[0] < 1 or f_states.shape[0] < 1:
         raise ValueError("need at least one token on each side")
     e_unit = e_states / np.maximum(np.linalg.norm(e_states, axis=1, keepdims=True), 1e-300)
     f_unit = f_states / np.maximum(np.linalg.norm(f_states, axis=1, keepdims=True), 1e-300)
     cost = 1.0 - e_unit @ f_unit.T
     plan, converged = sinkhorn_plan(cost, eps, iters, tol)
-    if extraction == "mutual_argmax":
-        pairs = mutual_argmax_pairs(plan)
-    elif extraction == "threshold":
-        cut = threshold * plan.max()
-        pairs = {(int(i), int(j)) for i, j in zip(*np.nonzero(plan >= cut))}
-    else:
-        raise ValueError(f"unknown extraction {extraction!r}")
-    return pairs, plan, converged
+    return mutual_argmax_pairs(plan), plan, converged
 
 
 def token_states(ids: Sequence[int], params: ModelParams,
@@ -208,28 +191,3 @@ def layer_sweep_aer(params: ModelParams,
         rows.append((layer, float(np.mean(scores))))
     return rows
 
-
-def write_alignment_file(path, gold: List[Tuple[Set[Pair], Set[Pair]]]) -> None:
-    """One line per sentence pair: "i-j" for sure pairs, "i?j" possible-only."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sure, possible in gold:
-            parts = [f"{i}-{j}" for i, j in sorted(sure)]
-            parts += [f"{i}?{j}" for i, j in sorted(possible - sure)]
-            fh.write(" ".join(parts) + "\n")
-
-
-def read_alignment_file(path) -> List[Tuple[Set[Pair], Set[Pair]]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            sure: Set[Pair] = set()
-            possible: Set[Pair] = set()
-            for token in line.split():
-                sep = "-" if "-" in token else "?"
-                i, j = token.split(sep)
-                pair = (int(i), int(j))
-                possible.add(pair)
-                if sep == "-":
-                    sure.add(pair)
-            out.append((sure, possible))
-    return out

@@ -1,8 +1,10 @@
 """Command-line entry points: synth, pretrain, eval, gradcheck.
 
-All randomness flows from the single config seed. Every command writes a
-fully merged copy of its configuration into the output directory, and exits
-nonzero with a single-line machine-parseable error on contract violations.
+All randomness flows from the single config seed. `DEFAULT_CONFIG` is the
+only source of default values: the config classes of the other modules take
+every value from it. Every command writes a fully merged copy of its
+configuration into the output directory, and exits nonzero with a
+single-line machine-parseable error on contract violations.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Dict, List
 
 import numpy as np
 
-from . import align, corpus as corpus_mod, trainer
-from .corpus import (Corpus, CorpusStats, LanguageSpec, ToyGrammar,
+from . import align
+from .corpus import (Corpus, LanguageSpec, ToyGrammar,
                      gold_alignment, synth_corpus, save_corpus_files,
                      transform_sentence)
 from .gradcheck import check_joint_gradients
@@ -104,11 +107,9 @@ def _specs(config: Dict) -> List[LanguageSpec]:
     return [LanguageSpec(**entry) for entry in config["data"]["languages"]]
 
 
-def _build_corpus(config: Dict, seed_offset: int = 0,
-                  n_sentences: int | None = None) -> Corpus:
-    rng = np.random.default_rng(config["seed"] + seed_offset)
-    n = n_sentences if n_sentences is not None else config["data"]["n_sentences"]
-    return synth_corpus(_specs(config), n, rng)
+def _build_corpus(config: Dict) -> Corpus:
+    rng = np.random.default_rng(config["seed"])
+    return synth_corpus(_specs(config), config["data"]["n_sentences"], rng)
 
 
 def _model_pair(config: Dict, vocab_size: int):
@@ -141,15 +142,7 @@ def cmd_pretrain(args) -> int:
     config = load_config(args.config)
     _write_config_copy(config, args.out)
     data = config["data"]
-    optim_cfg = OptimConfig(
-        lr_peak=config["optim"]["lr_peak"],
-        warmup_steps=config["optim"]["warmup_steps"],
-        total_steps=config["optim"]["total_steps"],
-        adam_betas=tuple(config["optim"]["adam_betas"]),
-        adam_eps=config["optim"]["adam_eps"],
-        grad_clip=config["optim"]["grad_clip"],
-        weight_decay=config["optim"]["weight_decay"],
-        lam=config["optim"]["lam"])
+    optim_cfg = OptimConfig(**config["optim"])
     settings = RunSettings(token_budget=data["token_budget"],
                            mask_ratio=data["mask_ratio"],
                            use_trtd=not args.no_trtd,
@@ -157,7 +150,16 @@ def cmd_pretrain(args) -> int:
                            alpha=data["alpha"])
     corpus = _build_corpus(config)
     if args.resume:
-        models, optimizer, rng, step, _ = load_checkpoint(args.resume)
+        models, optimizer, rng, step, meta = load_checkpoint(args.resume)
+        # the checkpoint's Adam settings and rng continue the run, so a
+        # schedule or seed that differs from them would mix two runs
+        changed = [f"optim.{k}" for k, v in asdict(optim_cfg).items()
+                   if getattr(optimizer.config, k) != v]
+        if meta.get("seed") != config["seed"]:
+            changed.append("seed")
+        if changed:
+            raise ConfigError(f"config differs from checkpoint {args.resume} "
+                              f"in {', '.join(changed)}")
         result = train(models, corpus, optim_cfg, args.out,
                        seed=config["seed"], settings=settings,
                        resume=(optimizer, rng, step))
@@ -170,10 +172,9 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _heldout_pairs(config: Dict, corpus: Corpus, lang: str,
-                   n_pairs: int, seed_offset: int = 7777):
+def _heldout_pairs(config: Dict, corpus: Corpus, lang: str, n_pairs: int):
     """Fresh parallel sentences (never batched for training) for one language."""
-    rng = np.random.default_rng(config["seed"] + seed_offset)
+    rng = np.random.default_rng(config["seed"] + 7777)
     grammar = ToyGrammar()
     spec = next(s for s in corpus.specs if s.lang == lang)
     pairs = []
@@ -181,7 +182,7 @@ def _heldout_pairs(config: Dict, corpus: Corpus, lang: str,
         base = grammar.sample_sentence(rng)
         pairs.append((corpus.vocab.encode(base),
                       corpus.vocab.encode(transform_sentence(base, spec, grammar))))
-    return pairs, spec
+    return pairs
 
 
 def cmd_eval(args) -> int:
@@ -198,14 +199,11 @@ def cmd_eval(args) -> int:
     for spec in corpus.specs:
         if spec.kind == "base":
             continue
-        pairs, _ = _heldout_pairs(config, corpus, spec.lang, n_pairs)
+        pairs = _heldout_pairs(config, corpus, spec.lang, n_pairs)
         src = [wrap_mono(e) for e, _ in pairs]
         tgt = [wrap_mono(f) for _, f in pairs]
-        # per-layer accuracy averaged over both retrieval directions
-        sweep_fwd = align.layer_sweep_retrieval(disc, src, tgt)
-        sweep_bwd = align.layer_sweep_retrieval(disc, tgt, src)
-        sweep = [(layer, (a + b) / 2)
-                 for (layer, a), (_, b) in zip(sweep_fwd, sweep_bwd)]
+        # per-layer accuracy, already averaged over both retrieval directions
+        sweep = align.layer_sweep_retrieval(disc, src, tgt)
         best_layer = max(sweep, key=lambda r: r[1])[0]
         for layer, acc in sweep:
             sweep_rows.append((spec.lang, layer, acc))

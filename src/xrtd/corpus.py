@@ -8,8 +8,8 @@ vocabulary is shared across all languages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -235,89 +235,31 @@ def synth_corpus(specs: Sequence[LanguageSpec], n_sentences: int,
     return Corpus(vocab, specs, mono, parallel)
 
 
-@dataclass
-class Batch:
-    sequences: List[List[int]]
-    languages: List[str]
+def draw_batch(pools: Dict[str, list], probs: np.ndarray, langs: List[str],
+               budget: int, rng: np.random.Generator) -> Tuple[list, List[str]]:
+    """Fill one batch of about `budget` tokens from per-language pools.
 
-    def total_tokens(self) -> int:
-        return sum(len(s) for s in self.sequences)
-
-
-class DynamicBatcher:
-    """Token-budget batching over language pools sampled per p_j.
-
-    Draws one sequence per slot (language chosen by the temperature-balanced
-    probabilities), buffers draws, sorts by length, and chunks greedily so
-    each batch stays within the budget with bounded padding waste. Sequences
-    longer than the budget are skipped and counted in `skipped`.
+    Each draw picks a language by `probs` (over `langs`), then an item
+    uniformly within that language's pool; an item is a token list or an
+    (ids, boundary) pair. Drawing stops once the budget is reached or the
+    next item would exceed it; the first item is always kept. Returns the
+    items and their languages in draw order.
     """
-
-    def __init__(self, pools: Dict[str, List[List[int]]], token_budget: int,
-                 rng: np.random.Generator, stats: CorpusStats,
-                 n_draws: int | None = None, buffer_size: int = 256):
-        if token_budget <= 0:
-            raise ValueError("token budget must be positive")
-        self.pools = pools
-        self.budget = token_budget
-        self.rng = rng
-        self.langs = list(stats.counts)
-        self.probs = language_sampling_probs(stats)
-        total = sum(len(pools.get(l, [])) for l in self.langs)
-        self.remaining = total if n_draws is None else n_draws
-        if total == 0:
-            self.remaining = 0
-        self.buffer_size = buffer_size
-        self.skipped = 0
-        self._pending: List[Batch] = []
-        self._carry: List[Tuple[List[int], str]] = []
-
-    def __iter__(self) -> Iterator[Batch]:
-        return self
-
-    def _fill(self) -> None:
-        drawn: List[Tuple[List[int], str]] = list(self._carry)
-        self._carry = []
-        while self.remaining > 0 and len(drawn) < self.buffer_size:
-            lang = self.langs[self.rng.choice(len(self.langs), p=self.probs)]
-            pool = self.pools[lang]
-            seq = pool[self.rng.integers(len(pool))]
-            self.remaining -= 1
-            if len(seq) > self.budget:
-                self.skipped += 1
-                continue
-            drawn.append((seq, lang))
-        drawn.sort(key=lambda item: len(item[0]))
-        batch_seqs: List[List[int]] = []
-        batch_langs: List[str] = []
-        used = 0
-        for seq, lang in drawn:
-            if batch_seqs and used + len(seq) > self.budget:
-                self._pending.append(Batch(batch_seqs, batch_langs))
-                batch_seqs, batch_langs, used = [], [], 0
-            batch_seqs.append(seq)
-            batch_langs.append(lang)
-            used += len(seq)
-        if batch_seqs:
-            # an underfull trailing chunk waits for the next buffer so only
-            # the very last batch of the stream may fall below half budget
-            if used < self.budget // 2 and self.remaining > 0:
-                self._carry = list(zip(batch_seqs, batch_langs))
-            else:
-                self._pending.append(Batch(batch_seqs, batch_langs))
-
-    def __next__(self) -> Batch:
-        while not self._pending:
-            if self.remaining <= 0 and not self._carry:
-                raise StopIteration
-            self._fill()
-        return self._pending.pop(0)
-
-
-def dynamic_batch(pools: Dict[str, List[List[int]]], token_budget: int,
-                  rng: np.random.Generator, stats: CorpusStats,
-                  n_draws: int | None = None) -> DynamicBatcher:
-    return DynamicBatcher(pools, token_budget, rng, stats, n_draws)
+    if budget <= 0:
+        raise ValueError("token budget must be positive")
+    items, languages, used = [], [], 0
+    while True:
+        lang = langs[rng.choice(len(langs), p=probs)]
+        pool = pools[lang]
+        item = pool[rng.integers(len(pool))]
+        size = len(item[0]) if isinstance(item, tuple) else len(item)
+        if items and used + size > budget:
+            return items, languages
+        items.append(item)
+        languages.append(lang)
+        used += size
+        if used >= budget:
+            return items, languages
 
 
 def save_corpus_files(corpus: Corpus, outdir) -> List[str]:

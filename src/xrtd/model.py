@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from . import serialize
 from .tensor import (Tensor, embedding, get_default_dtype, layer_norm, matmul,
                      softmax)
 
@@ -32,7 +31,7 @@ class ModelConfig:
     num_heads: int
     ffn_size: int
     vocab_size: int
-    max_rel_distance: int = 8
+    max_rel_distance: int
     init_range: float = 0.02
     role: str = "discriminator"
 
@@ -62,29 +61,16 @@ class ModelConfig:
         }
 
 
-@dataclass
-class GatedBias:
-    """Single-head gated bias parameters (used directly in tests and docs)."""
-    d_table: Tensor  # [2k+1], indexed by clipped offset + k
-    u: Tensor        # [head_dim]
-    v: Tensor        # [head_dim]
-    w: Tensor        # scalar
-    max_distance: int
-
-
-def gated_rel_pos_bias(q: Tensor, offset: int, bias: GatedBias) -> Tensor:
-    """Bias added to one attention logit for a query at relative `offset`.
+def gated_bias(d: Tensor, q: Tensor, u: Tensor, v: Tensor, w: Tensor) -> Tensor:
+    """Gated relative position bias for queries `q` over their last axis.
 
     update gate g_u = sigmoid(q . u), reset gate g_r = sigmoid(q . v):
         r = d + g_u * d + (1 - g_u) * (w * g_r * d)
-    with d the table entry at the clipped offset.
+    with d the bias-table entry at the clipped query-key offset.
     """
-    k = bias.max_distance
-    idx = int(np.clip(offset, -k, k)) + k
-    d = embedding(bias.d_table, np.asarray(idx))
-    g_up = (q * bias.u).sum().sigmoid()
-    g_reset = (q * bias.v).sum().sigmoid()
-    return d + g_up * d + (1.0 - g_up) * (bias.w * g_reset * d)
+    g_up = (q * u).sum(axis=-1, keepdims=True).sigmoid()
+    g_reset = (q * v).sum(axis=-1, keepdims=True).sigmoid()
+    return d + g_up * d + (1.0 - g_up) * (w * g_reset * d)
 
 
 class ModelParams:
@@ -96,24 +82,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
-
-    def trainable(self) -> Dict[str, Tensor]:
-        return dict(self.tensors)
-
-    def save(self, path) -> None:
-        serialize.save_arrays(path, {k: t.data for k, t in self.tensors.items()})
-
-    def load_values(self, path) -> None:
-        arrays = serialize.load_arrays(path)
-        if set(arrays) != set(self.tensors):
-            missing = set(self.tensors) - set(arrays)
-            extra = set(arrays) - set(self.tensors)
-            raise ValueError(f"parameter name mismatch: missing={sorted(missing)} "
-                             f"extra={sorted(extra)}")
-        for name, arr in arrays.items():
-            if arr.shape != self.tensors[name].data.shape:
-                raise ValueError(f"shape mismatch for {name!r}")
-            self.tensors[name].data = arr.astype(self.tensors[name].data.dtype)
 
 
 def init_params(config: ModelConfig, seed: int, dtype=None) -> ModelParams:
@@ -197,10 +165,7 @@ def attention_weights(h: Tensor, params: ModelParams, layer: int,
     u = params[p + "attn.gate_u"].reshape((1, heads, 1, dk))
     vv = params[p + "attn.gate_v"].reshape((1, heads, 1, dk))
     w = params[p + "attn.gate_w"].reshape((1, heads, 1, 1))
-    g_up = (q * u).sum(axis=-1, keepdims=True).sigmoid()       # [b, heads, n, 1]
-    g_reset = (q * vv).sum(axis=-1, keepdims=True).sigmoid()
-    bias = d_bias + g_up * d_bias + (1.0 - g_up) * (w * g_reset * d_bias)
-
+    bias = gated_bias(d_bias, q, u, vv, w)
     scores = scores + bias + Tensor(key_mask)
     return softmax(scores, axis=-1), v
 

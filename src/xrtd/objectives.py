@@ -8,8 +8,8 @@ is MLM + TLM + lambda * (MRTD + TRTD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import IO, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,13 +34,8 @@ def wrap_pair(e_ids: Sequence[int], f_ids: Sequence[int]) -> Tuple[List[int], in
     return ids, len(e_ids) + 3
 
 
-@dataclass
-class MaskedBatch:
-    original: np.ndarray                 # [B, n] int64, PAD-padded
-    masked: np.ndarray                   # [B, n], mask positions -> MASK
-    mask_positions: List[np.ndarray]     # sorted positions per sequence
-    languages: List[str]
-    segment_boundary: List[int] | None = None   # pairs only
+class _TokenPositions:
+    """Position masks over the `original` [B, n] ids of a batch."""
 
     @property
     def pad_mask(self) -> np.ndarray:
@@ -56,24 +51,22 @@ class MaskedBatch:
 
 
 @dataclass
-class CorruptedBatch:
+class MaskedBatch(_TokenPositions):
+    original: np.ndarray                 # [B, n] int64, PAD-padded
+    masked: np.ndarray                   # [B, n], mask positions -> MASK
+    mask_positions: List[np.ndarray]     # sorted positions per sequence
+    languages: List[str]
+    segment_boundary: List[int] | None = None   # pairs only
+
+
+@dataclass
+class CorruptedBatch(_TokenPositions):
     original: np.ndarray
     corrupt: np.ndarray
     labels: np.ndarray                   # [B, n], 1 = replaced
     provenance: List[Tuple[int, int, int]]   # (sequence, position, sampled id)
     languages: List[str]
     mask_positions: List[np.ndarray]
-
-    @property
-    def pad_mask(self) -> np.ndarray:
-        return self.original != PAD
-
-    @property
-    def eligible(self) -> np.ndarray:
-        mask = self.pad_mask.copy()
-        for special in (MASK, BOS, EOS, SEP):
-            mask &= self.original != special
-        return mask
 
 
 def select_mask_positions(ids: Sequence[int], mask_ratio: float,
@@ -129,7 +122,7 @@ def _generator_loss(batch: MaskedBatch, generator: ModelParams):
     rows = gather_rows(states[-1], b_idx, p_idx)
     logits = mlm_logits(rows, generator)
     targets = batch.original[b_idx, p_idx]
-    loss = softmax_cross_entropy(logits, targets, reduction="sum")
+    loss = softmax_cross_entropy(logits, targets)
     return loss, logits.data.copy(), targets
 
 
@@ -154,24 +147,18 @@ def generator_loss_tlm(batch: MaskedBatch, generator: ModelParams):
 
 
 def sample_corruption(batch: MaskedBatch, generator_logits: np.ndarray,
-                      rng: np.random.Generator,
-                      mode: str = "sample") -> CorruptedBatch:
+                      rng: np.random.Generator) -> CorruptedBatch:
     """Replace masked positions with generator samples (stop-gradient).
 
     `generator_logits` holds one row per masked position in batch order. A
     sampled token equal to the original is labeled original.
     """
-    if mode not in ("sample", "argmax"):
-        raise ValueError(f"unknown corruption mode {mode!r}")
     b_idx, p_idx = _mask_index(batch)
     if generator_logits.shape[0] != b_idx.size:
         raise ValueError("logit rows do not cover all masked positions")
-    if mode == "argmax":
-        sampled = generator_logits.argmax(axis=1)
-    else:
-        # Gumbel-max: exact categorical sample from each softmax row
-        noise = rng.gumbel(size=generator_logits.shape)
-        sampled = (generator_logits.astype(np.float64) + noise).argmax(axis=1)
+    # Gumbel-max: exact categorical sample from each softmax row
+    noise = rng.gumbel(size=generator_logits.shape)
+    sampled = (generator_logits.astype(np.float64) + noise).argmax(axis=1)
     corrupt = batch.original.copy()
     corrupt[b_idx, p_idx] = sampled
     labels = np.zeros_like(batch.original)
@@ -182,16 +169,13 @@ def sample_corruption(batch: MaskedBatch, generator_logits: np.ndarray,
                           [p.copy() for p in batch.mask_positions])
 
 
-def discriminator_loss_rtd(corrupt: CorruptedBatch, discriminator: ModelParams,
-                           include_special: bool = False):
+def discriminator_loss_rtd(corrupt: CorruptedBatch, discriminator: ModelParams):
     """Binary replaced-vs-original cross-entropy over all content positions.
 
-    Special and pad positions are excluded by default (`include_special`
-    restores the literal every-position sum). Returns (loss, accuracy, count).
+    Special and pad positions are not scored. Returns (loss, accuracy, count).
     """
     states = encode(corrupt.corrupt, discriminator, pad_mask=corrupt.pad_mask)
-    scored = corrupt.pad_mask if include_special else corrupt.eligible
-    b_idx, p_idx = np.nonzero(scored)
+    b_idx, p_idx = np.nonzero(corrupt.eligible)
     rows = gather_rows(states[-1], b_idx, p_idx)
     logits = rtd_logits(rows, discriminator)
     labels = corrupt.labels[b_idx, p_idx].astype(np.float64)
@@ -202,8 +186,7 @@ def discriminator_loss_rtd(corrupt: CorruptedBatch, discriminator: ModelParams,
 
 
 def joint_loss(mono: MaskedBatch, pair: MaskedBatch | None, models: ModelPair,
-               lam: float, rng: np.random.Generator, mode: str = "sample",
-               use_trtd: bool = True, include_special: bool = False):
+               lam: float, rng: np.random.Generator, use_trtd: bool = True):
     """Four-term joint objective; returns (total loss, report dict).
 
     With `use_trtd=False`, the translation-pair terms (TLM and TRTD) are
@@ -212,9 +195,9 @@ def joint_loss(mono: MaskedBatch, pair: MaskedBatch | None, models: ModelPair,
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     loss_mlm, gen_logits = generator_loss_mlm(mono, models.generator)
-    mono_corrupt = sample_corruption(mono, gen_logits, rng, mode)
-    loss_mrtd, acc_m, n_m = discriminator_loss_rtd(
-        mono_corrupt, models.discriminator, include_special)
+    mono_corrupt = sample_corruption(mono, gen_logits, rng)
+    loss_mrtd, acc_m, n_m = discriminator_loss_rtd(mono_corrupt,
+                                                   models.discriminator)
     n_masked_mono = sum(len(p) for p in mono.mask_positions)
 
     report = {
@@ -228,9 +211,9 @@ def joint_loss(mono: MaskedBatch, pair: MaskedBatch | None, models: ModelPair,
         if pair is None:
             raise ValueError("pair batch required unless use_trtd=False")
         loss_tlm, pair_logits = generator_loss_tlm(pair, models.generator)
-        pair_corrupt = sample_corruption(pair, pair_logits, rng, mode)
-        loss_trtd, acc_t, n_t = discriminator_loss_rtd(
-            pair_corrupt, models.discriminator, include_special)
+        pair_corrupt = sample_corruption(pair, pair_logits, rng)
+        loss_trtd, acc_t, n_t = discriminator_loss_rtd(pair_corrupt,
+                                                       models.discriminator)
         n_masked_pair = sum(len(p) for p in pair.mask_positions)
         total = total + loss_tlm + lam * loss_trtd
         report.update({
@@ -245,16 +228,3 @@ def joint_loss(mono: MaskedBatch, pair: MaskedBatch | None, models: ModelPair,
     report["total"] = total.item()
     return total, report
 
-
-def dump_batch(masked: MaskedBatch, corrupt: CorruptedBatch, fh: IO[str]) -> None:
-    """Write one tab-separated record per sequence for golden-file tests.
-
-    Columns: language, original ids, masked ids, corrupt ids, labels
-    (space-separated integers, padding included).
-    """
-    for b in range(masked.original.shape[0]):
-        fields = [masked.languages[b]] + [
-            " ".join(str(int(x)) for x in row)
-            for row in (masked.original[b], masked.masked[b],
-                        corrupt.corrupt[b], corrupt.labels[b])]
-        fh.write("\t".join(fields) + "\n")

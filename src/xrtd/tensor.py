@@ -96,12 +96,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
@@ -150,28 +144,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = _as_tensor(other)
-        out = Tensor(self.data / other.data, parents=(self, other))
-
-        def bw(g):
-            self._accumulate(g / other.data)
-            other._accumulate(-g * self.data / (other.data * other.data))
-        out._backward_fn = bw if out.requires_grad else None
-        return out
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        p = float(exponent)
-        out = Tensor(self.data ** p, parents=(self,))
-
-        def bw(g):
-            self._accumulate(g * p * self.data ** (p - 1.0))
-        out._backward_fn = bw if out.requires_grad else None
-        return out
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, shape) -> "Tensor":
@@ -204,37 +176,7 @@ class Tensor:
         out._backward_fn = bw if out.requires_grad else None
         return out
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     # -- elementwise nonlinearities ------------------------------------------
-
-    def exp(self) -> "Tensor":
-        y = np.exp(self.data)
-        out = Tensor(y, parents=(self,))
-
-        def bw(g):
-            self._accumulate(g * y)
-        out._backward_fn = bw if out.requires_grad else None
-        return out
-
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data), parents=(self,))
-
-        def bw(g):
-            self._accumulate(g / self.data)
-        out._backward_fn = bw if out.requires_grad else None
-        return out
-
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
-        out = Tensor(y, parents=(self,))
-
-        def bw(g):
-            self._accumulate(g * (1.0 - y * y))
-        out._backward_fn = bw if out.requires_grad else None
-        return out
 
     def sigmoid(self) -> "Tensor":
         y = _sigmoid(self.data)
@@ -242,15 +184,6 @@ class Tensor:
 
         def bw(g):
             self._accumulate(g * y * (1.0 - y))
-        out._backward_fn = bw if out.requires_grad else None
-        return out
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out = Tensor(self.data * mask, parents=(self,))
-
-        def bw(g):
-            self._accumulate(g * mask)
         out._backward_fn = bw if out.requires_grad else None
         return out
 
@@ -303,22 +236,6 @@ def matmul(a: Tensor, b) -> Tensor:
     def bw(g):
         a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
         b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
-    out._backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            t._accumulate(g[tuple(index)])
     out._backward_fn = bw if out.requires_grad else None
     return out
 
@@ -383,37 +300,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def softmax_cross_entropy(logits: Tensor, targets, mask=None,
-                          reduction: str = "sum") -> Tensor:
-    """Negative log-softmax at target ids, reduced over (masked) rows.
-
-    `logits` is [n, V]; `mask` optionally restricts the loss to a subset of
-    row positions. An empty mask yields a zero loss with zero gradient.
-    """
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"unknown reduction {reduction!r}")
+def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Negative log-softmax of each `logits` row [n, V] at its target id, summed."""
     targets = np.asarray(targets, dtype=np.int64)
-    rows = np.arange(logits.data.shape[0]) if mask is None \
-        else np.asarray(sorted(mask), dtype=np.int64)
-    if rows.size == 0:
-        return Tensor(np.asarray(0.0, dtype=logits.data.dtype))
-    picked = logits.data[rows]
-    tgt = targets[rows] if mask is not None else targets
-    if tgt.size and (tgt.min() < 0 or tgt.max() >= picked.shape[1]):
+    x = logits.data
+    if targets.size and (targets.min() < 0 or targets.max() >= x.shape[1]):
         raise IndexError("target id out of vocabulary range")
-    mx = picked.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(picked - mx).sum(axis=1)) + mx[:, 0]
-    losses = lse - picked[np.arange(rows.size), tgt]
-    scale = 1.0 if reduction == "sum" else 1.0 / rows.size
-    out = Tensor(np.asarray(losses.sum() * scale, dtype=logits.data.dtype),
-                 parents=(logits,))
+    rows = np.arange(x.shape[0])
+    mx = x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(x - mx).sum(axis=1)) + mx[:, 0]
+    losses = lse - x[rows, targets]
+    out = Tensor(np.asarray(losses.sum(), dtype=x.dtype), parents=(logits,))
 
     def bw(g):
-        probs = np.exp(picked - lse[:, None])
-        probs[np.arange(rows.size), tgt] -= 1.0
-        gl = np.zeros_like(logits.data)
-        gl[rows] = probs * (float(g) * scale)
-        logits._accumulate(gl)
+        probs = np.exp(x - lse[:, None])
+        probs[rows, targets] -= 1.0
+        logits._accumulate(probs * float(g))
     out._backward_fn = bw if out.requires_grad else None
     return out
 

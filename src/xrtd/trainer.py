@@ -12,14 +12,15 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+import shutil
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import serialize
-from .corpus import Corpus, CorpusStats, language_sampling_probs
-from .model import ModelConfig, ModelPair, ModelParams, init_model_pair
+from .corpus import Corpus, CorpusStats, draw_batch, language_sampling_probs
+from .model import ModelConfig, ModelPair, init_model_pair
 from .objectives import build_masked_batch, joint_loss, wrap_mono, wrap_pair
 from .tensor import Tensor, backward, zero_grads
 
@@ -33,17 +34,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class OptimConfig:
-    lr_peak: float = 5e-4
-    warmup_steps: int = 100
-    total_steps: int = 2000
-    adam_betas: Tuple[float, float] = (0.9, 0.98)
-    adam_eps: float = 1e-6
-    grad_clip: float = 2.0
-    weight_decay: float = 0.01
-    lam: float = 50.0
-    decay_gate_params: bool = False
+    """The `optim` section of a run config, one field per key."""
+    lr_peak: float
+    warmup_steps: int
+    total_steps: int
+    adam_betas: Tuple[float, float]
+    adam_eps: float
+    grad_clip: float
+    weight_decay: float
+    lam: float
 
     def __post_init__(self):
+        self.adam_betas = tuple(self.adam_betas)
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ValueError("need 0 <= warmup_steps < total_steps")
         for name in ("lr_peak", "adam_eps", "grad_clip", "lam"):
@@ -63,17 +65,13 @@ def lr_at(step: int, config: OptimConfig) -> float:
     return config.lr_peak * (config.total_steps - step) / span
 
 
-def _decays(name: str, decay_gate_tables: bool) -> bool:
+def _decays(name: str) -> bool:
     """Decoupled weight decay applies to weight matrices only."""
     base = name.split(".")[-1]
     if base in ("mlm_bias", "rtd_b", "b", "g", "bq", "bk", "bv", "bo",
-                "b1", "b2", "gate_w"):
+                "b1", "b2", "gate_w", "d_table", "gate_u", "gate_v"):
         return False
-    if ".ln" in name or "final_ln" in name:
-        return False
-    if not decay_gate_tables and base in ("d_table", "gate_u", "gate_v"):
-        return False
-    return True
+    return ".ln" not in name and "final_ln" not in name
 
 
 class Adam:
@@ -113,7 +111,7 @@ class Adam:
         c2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
             g = grads[name] * scale
-            if cfg.weight_decay > 0 and _decays(name, cfg.decay_gate_params):
+            if cfg.weight_decay > 0 and _decays(name):
                 p.data = (p.data - lr * cfg.weight_decay * p.data).astype(p.data.dtype)
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
@@ -137,49 +135,45 @@ class Adam:
 
 @dataclass
 class RunSettings:
-    token_budget: int = 512
-    mask_ratio: float = 0.15
-    use_trtd: bool = True
-    checkpoint_every: int = 1000
-    alpha: float = 0.7
-    sample_mode: str = "sample"
+    """Batching and checkpoint settings, taken from the `data` config section."""
+    token_budget: int
+    mask_ratio: float
+    use_trtd: bool
+    checkpoint_every: int
+    alpha: float
 
 
-def _mono_pools(corpus: Corpus) -> Dict[str, List[List[int]]]:
-    return {lang: [wrap_mono(ids) for ids in seqs]
-            for lang, seqs in corpus.mono.items()}
+def _samplers(corpus: Corpus, alpha: float, use_trtd: bool):
+    """(pools, probs, langs) for the monolingual sentences and, unless
+    `use_trtd` is off, for the translation pairs; pools hold wrapped inputs."""
+    def sampler(pools):
+        stats = CorpusStats({lang: len(p) for lang, p in pools.items()}, alpha)
+        return pools, language_sampling_probs(stats), list(stats.counts)
+
+    mono = sampler({lang: [wrap_mono(ids) for ids in seqs]
+                    for lang, seqs in corpus.mono.items()})
+    if not use_trtd:
+        return mono, None
+    return mono, sampler({lang: [wrap_pair(e, f) for e, f in pairs]
+                          for lang, pairs in corpus.parallel.items()})
 
 
-def _pair_pools(corpus: Corpus) -> Dict[str, List[Tuple[List[int], int]]]:
-    return {lang: [wrap_pair(e, f) for e, f in pairs]
-            for lang, pairs in corpus.parallel.items()}
-
-
-def _draw(pools: Dict[str, list], probs: np.ndarray, langs: List[str],
-          budget: int, rng: np.random.Generator):
-    """Fill one batch: language per p_j, sequence uniform within language."""
-    items, languages, used = [], [], 0
-    while True:
-        lang = langs[rng.choice(len(langs), p=probs)]
-        pool = pools[lang]
-        item = pool[rng.integers(len(pool))]
-        size = len(item[0]) if isinstance(item, tuple) else len(item)
-        if items and used + size > budget:
-            return items, languages
-        items.append(item)
-        languages.append(lang)
-        used += size
-        if used >= budget:
-            return items, languages
+def _draw_batches(mono, pair, budget: int, mask_ratio: float,
+                  rng: np.random.Generator):
+    """One masked monolingual batch and, when `pair` is given, one pair batch."""
+    mono_batch = draw_mono_batch(*mono, budget, rng, mask_ratio)
+    if pair is None:
+        return mono_batch, None
+    return mono_batch, draw_pair_batch(*pair, budget, rng, mask_ratio)
 
 
 def draw_mono_batch(pools, probs, langs, budget, rng, mask_ratio):
-    seqs, languages = _draw(pools, probs, langs, budget, rng)
+    seqs, languages = draw_batch(pools, probs, langs, budget, rng)
     return build_masked_batch(seqs, languages, mask_ratio, rng)
 
 
 def draw_pair_batch(pools, probs, langs, budget, rng, mask_ratio):
-    items, languages = _draw(pools, probs, langs, budget, rng)
+    items, languages = draw_batch(pools, probs, langs, budget, rng)
     seqs = [ids for ids, _ in items]
     bounds = [b for _, b in items]
     return build_masked_batch(seqs, languages, mask_ratio, rng, boundaries=bounds)
@@ -187,29 +181,70 @@ def draw_pair_batch(pools, probs, langs, budget, rng, mask_ratio):
 
 def save_checkpoint(path: str, models: ModelPair, optimizer: Adam,
                     rng: np.random.Generator, step: int, meta: dict) -> None:
-    """Checkpoint directory: config.json, params.bin, optim.bin, rng.json."""
-    os.makedirs(path, exist_ok=True)
-    config = {
-        "generator": models.generator.config.to_dict(),
-        "discriminator": models.discriminator.config.to_dict(),
-        "share_embeddings": models.share_embeddings,
-        "optim": asdict(optimizer.config),
-        "step": step,
-        "meta": meta,
-    }
-    with open(os.path.join(path, "config.json"), "w") as fh:
-        json.dump(config, fh, indent=2)
-    named = models.all_parameters()
-    serialize.save_arrays(os.path.join(path, "params.bin"),
-                          {k: t.data for k, t in named.items()})
-    serialize.save_arrays(os.path.join(path, "optim.bin"),
-                          optimizer.state_arrays())
-    with open(os.path.join(path, "rng.json"), "w") as fh:
-        json.dump(rng.bit_generator.state, fh)
+    """Checkpoint directory: config.json, params.bin, optim.bin, rng.json.
+
+    The files go to a temporary sibling directory that then replaces `path`,
+    so `path` never names a partly written checkpoint.
+    """
+    path = os.path.normpath(path)
+    tmp = path + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    try:
+        config = {
+            "generator": models.generator.config.to_dict(),
+            "discriminator": models.discriminator.config.to_dict(),
+            "share_embeddings": models.share_embeddings,
+            "optim": asdict(optimizer.config),
+            "step": step,
+            "meta": meta,
+        }
+        with open(os.path.join(tmp, "config.json"), "w") as fh:
+            json.dump(config, fh, indent=2)
+        named = models.all_parameters()
+        serialize.save_arrays(os.path.join(tmp, "params.bin"),
+                              {k: t.data for k, t in named.items()})
+        serialize.save_arrays(os.path.join(tmp, "optim.bin"),
+                              optimizer.state_arrays())
+        with open(os.path.join(tmp, "rng.json"), "w") as fh:
+            json.dump(rng.bit_generator.state, fh)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if os.path.isdir(path):
+        # a directory cannot be renamed over a non-empty one: move it aside
+        old = path + ".old"
+        shutil.rmtree(old, ignore_errors=True)
+        os.replace(path, old)
+        os.replace(tmp, path)
+        shutil.rmtree(old)
+    else:
+        os.replace(tmp, path)
+
+
+def _load_checked(path: str, shapes: Dict[str, tuple]) -> Dict[str, np.ndarray]:
+    """The arrays in `path`, which must be exactly the named `shapes`."""
+    arrays = serialize.load_arrays(path)
+    missing = sorted(shapes.keys() - arrays.keys())
+    if missing:
+        raise ValueError(f"{path}: missing tensor {', '.join(missing)}")
+    extra = sorted(arrays.keys() - shapes.keys())
+    if extra:
+        raise ValueError(f"{path}: unexpected tensor {', '.join(extra)}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: tensor {name} has shape "
+                             f"{arrays[name].shape}, the model expects {shape}")
+    return arrays
 
 
 def load_checkpoint(path: str):
-    """Returns (models, optimizer, rng, step, meta)."""
+    """Returns (models, optimizer, rng, step, meta).
+
+    Every tensor in params.bin and optim.bin must match by name and shape the
+    model that config.json describes; a mismatch raises a ValueError that
+    names the tensor.
+    """
     with open(os.path.join(path, "config.json")) as fh:
         config = json.load(fh)
     gen_cfg = ModelConfig(**config["generator"])
@@ -217,14 +252,14 @@ def load_checkpoint(path: str):
     models = init_model_pair(gen_cfg, disc_cfg, seed=0,
                              share_embeddings=config["share_embeddings"])
     named = models.all_parameters()
-    arrays = serialize.load_arrays(os.path.join(path, "params.bin"))
+    arrays = _load_checked(os.path.join(path, "params.bin"),
+                           {k: t.data.shape for k, t in named.items()})
     for name, t in named.items():
         t.data = arrays[name].astype(t.data.dtype)
-    optim_cfg = OptimConfig(**{**config["optim"],
-                               "adam_betas": tuple(config["optim"]["adam_betas"])})
-    optimizer = Adam(named, optim_cfg)
-    optimizer.load_state_arrays(
-        serialize.load_arrays(os.path.join(path, "optim.bin")), config["step"])
+    optimizer = Adam(named, OptimConfig(**config["optim"]))
+    moments = _load_checked(os.path.join(path, "optim.bin"),
+                            {k: a.shape for k, a in optimizer.state_arrays().items()})
+    optimizer.load_state_arrays(moments, config["step"])
     rng = np.random.default_rng()
     with open(os.path.join(path, "rng.json")) as fh:
         rng.bit_generator.state = json.load(fh)
@@ -239,10 +274,9 @@ class TrainResult:
 
 
 def train(models: ModelPair, corpus: Corpus, optim_cfg: OptimConfig,
-          out_dir: str, seed: int = 0, settings: RunSettings | None = None,
+          out_dir: str, seed: int, settings: RunSettings,
           resume: Tuple[Adam, np.random.Generator, int] | None = None) -> TrainResult:
     """Run the joint loop for optim_cfg.total_steps, logging metrics per step."""
-    settings = settings or RunSettings()
     os.makedirs(out_dir, exist_ok=True)
     named = models.all_parameters()
     if resume is not None:
@@ -251,18 +285,7 @@ def train(models: ModelPair, corpus: Corpus, optim_cfg: OptimConfig,
         optimizer, rng, start_step = Adam(named, optim_cfg), \
             np.random.default_rng(seed), 0
 
-    mono_pools = _mono_pools(corpus)
-    mono_stats = CorpusStats({l: len(p) for l, p in mono_pools.items()},
-                             settings.alpha)
-    mono_probs = language_sampling_probs(mono_stats)
-    mono_langs = list(mono_stats.counts)
-    pair_pools = _pair_pools(corpus)
-    pair_probs = pair_langs = None
-    if settings.use_trtd:
-        pair_stats = CorpusStats({l: len(p) for l, p in pair_pools.items()},
-                                 settings.alpha)
-        pair_probs = language_sampling_probs(pair_stats)
-        pair_langs = list(pair_stats.counts)
+    mono, pair = _samplers(corpus, settings.alpha, settings.use_trtd)
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     history: List[dict] = []
@@ -272,17 +295,10 @@ def train(models: ModelPair, corpus: Corpus, optim_cfg: OptimConfig,
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         for step in range(start_step, optim_cfg.total_steps):
-            mono_batch = draw_mono_batch(mono_pools, mono_probs, mono_langs,
-                                         settings.token_budget, rng,
-                                         settings.mask_ratio)
-            pair_batch = None
-            if settings.use_trtd:
-                pair_batch = draw_pair_batch(pair_pools, pair_probs, pair_langs,
-                                             settings.token_budget, rng,
-                                             settings.mask_ratio)
+            mono_batch, pair_batch = _draw_batches(
+                mono, pair, settings.token_budget, settings.mask_ratio, rng)
             total, report = joint_loss(mono_batch, pair_batch, models,
                                        optim_cfg.lam, rng,
-                                       mode=settings.sample_mode,
                                        use_trtd=settings.use_trtd)
             zero_grads(named.values())
             backward(total)
@@ -320,31 +336,17 @@ def train(models: ModelPair, corpus: Corpus, optim_cfg: OptimConfig,
 
 
 def heldout_disc_accuracy(models: ModelPair, corpus: Corpus, seed: int,
-                          n_batches: int = 10, token_budget: int = 512,
-                          mask_ratio: float = 0.15, alpha: float = 0.7,
-                          use_trtd: bool = True) -> float:
+                          n_batches: int, token_budget: int, mask_ratio: float,
+                          alpha: float, use_trtd: bool) -> float:
     """Replaced-token detection accuracy on batches drawn from `corpus`."""
     rng = np.random.default_rng(seed)
-    mono_pools = _mono_pools(corpus)
-    stats = CorpusStats({l: len(p) for l, p in mono_pools.items()}, alpha)
-    probs = language_sampling_probs(stats)
-    langs = list(stats.counts)
-    pair_pools = _pair_pools(corpus) if use_trtd else None
-    if use_trtd:
-        pair_stats = CorpusStats({l: len(p) for l, p in pair_pools.items()}, alpha)
-        pair_probs = language_sampling_probs(pair_stats)
-        pair_langs = list(pair_stats.counts)
-    correct = total = 0
+    mono, pair = _samplers(corpus, alpha, use_trtd)
+    correct = 0.0
     for _ in range(n_batches):
-        mono = draw_mono_batch(mono_pools, probs, langs, token_budget, rng,
-                               mask_ratio)
-        pair = None
-        if use_trtd:
-            pair = draw_pair_batch(pair_pools, pair_probs, pair_langs,
-                                   token_budget, rng, mask_ratio)
-        _, report = joint_loss(mono, pair, models, 1.0, rng,
+        mono_batch, pair_batch = _draw_batches(mono, pair, token_budget,
+                                               mask_ratio, rng)
+        _, report = joint_loss(mono_batch, pair_batch, models, 1.0, rng,
                                use_trtd=use_trtd)
         # weight each batch by one; accuracy already position-weighted inside
         correct += report["disc_accuracy"]
-        total += 1
-    return correct / total
+    return correct / n_batches

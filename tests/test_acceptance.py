@@ -19,10 +19,10 @@ import pytest
 
 from xrtd import cli
 from xrtd.align import (AlignmentSet, aer, mutual_argmax_pairs, sinkhorn_plan)
-from xrtd.corpus import (CorpusStats, ToyGrammar, dynamic_batch,
+from xrtd.corpus import (CorpusStats, ToyGrammar, draw_batch,
                          language_sampling_probs, synth_corpus)
 from xrtd.gradcheck import check_joint_gradients
-from xrtd.model import (GatedBias, ModelConfig, gated_rel_pos_bias,
+from xrtd.model import (ModelConfig, _clipped_offsets, gated_bias,
                         init_model_pair, init_params)
 from xrtd.objectives import (SPECIAL_IDS, build_masked_batch,
                              discriminator_loss_rtd, generator_loss_mlm,
@@ -57,11 +57,12 @@ def test_criterion_2_gate_algebra():
     w = Tensor(np.array(1.0))
     big = Tensor(np.full(dk, 1e4))
 
-    def bias(u, v, w_):
-        gb = GatedBias(d_table, u, v, w_, max_distance=3)
-        return gated_rel_pos_bias(q, 2, gb).item()
+    # the table entry attention_weights uses for offset 2 clipped at k=3
+    d = d_table.data[_clipped_offsets(3, 3)[2, 0]]
 
-    d = d_table.data[5]   # offset 2 clipped at k=3 -> index 5
+    def bias(u, v, w_):
+        return gated_bias(Tensor(d), q, u, v, w_).data.item()
+
     q_pos = q.data > 0
     up_one = Tensor(np.where(q_pos, big.data, -big.data))    # q.u -> +inf
     up_zero = Tensor(np.where(q_pos, -big.data, big.data))   # q.u -> -inf
@@ -111,12 +112,11 @@ def test_criterion_4_language_sampling():
     probs = language_sampling_probs(stats)
     pools = {"a": [[7] * 10 for _ in range(30)],
              "b": [[9] * 10 for _ in range(30)]}
-    counts = {"a": 0, "b": 0}
-    batcher = dynamic_batch(pools, 120, np.random.default_rng(0), stats,
-                            n_draws=100_000)
-    for batch in batcher:
-        for lang in batch.languages:
-            counts[lang] += 1
+    rng = np.random.default_rng(0)
+    drawn = []
+    while len(drawn) < 100_000:   # the sampler that training batches with
+        drawn += draw_batch(pools, probs, list(stats.counts), 120, rng)[1]
+    counts = {lang: drawn[:100_000].count(lang) for lang in ("a", "b")}
     total = counts["a"] + counts["b"]
     freq = counts["a"] / total
     ok = total == 100_000 and abs(freq - probs[0]) < 0.01 \
@@ -297,7 +297,8 @@ def test_criterion_10_training_health(e2e):
     acc = heldout_disc_accuracy(models, heldout, seed=config["seed"] + 6666,
                                 n_batches=10,
                                 token_budget=config["data"]["token_budget"],
-                                mask_ratio=config["data"]["mask_ratio"])
+                                mask_ratio=config["data"]["mask_ratio"],
+                                alpha=config["data"]["alpha"], use_trtd=True)
     history = _read_csv(os.path.join(e2e["paths"]["full"], "metrics.csv"))
     deltas = []
     losses_ok = True

@@ -6,9 +6,8 @@ import pytest
 from xrtd.align import (AlignmentSet, RetrievalTask, accuracy_at_1, aer,
                         align_sentence_pair, embed_sentences,
                         layer_sweep_aer, layer_sweep_retrieval,
-                        mutual_argmax_pairs, ot_align, read_alignment_file,
-                        retrieve_acc1, sentence_embed, sinkhorn_plan,
-                        token_states, write_alignment_file)
+                        mutual_argmax_pairs, ot_align, retrieve_acc1,
+                        sinkhorn_plan, token_states)
 from xrtd.model import ModelConfig, encode, init_params
 from xrtd.objectives import wrap_mono
 
@@ -18,6 +17,10 @@ def small_params(vocab_size=40, layers=2, seed=0):
                       ffn_size=32, vocab_size=vocab_size, max_rel_distance=4,
                       role="discriminator")
     return init_params(cfg, seed=seed)
+
+
+def sentence_embed(ids, params, layer):
+    return embed_sentences([list(ids)], params, layer)[0]
 
 
 class TestSentenceEmbedding:
@@ -151,17 +154,6 @@ class TestSinkhorn:
             pairs, _, _ = ot_align(e, f, eps=0.02, iters=20000)
             assert pairs == {(i, best[i]) for i in range(4)}
 
-    def test_threshold_extraction_mode(self):
-        rng = np.random.default_rng(7)
-        e = rng.normal(size=(3, 5))
-        f = rng.normal(size=(3, 5))
-        pairs, plan, _ = ot_align(e, f, extraction="threshold", threshold=0.9)
-        cut = 0.9 * plan.max()
-        assert pairs == {(int(i), int(j))
-                         for i, j in zip(*np.nonzero(plan >= cut))}
-        with pytest.raises(ValueError):
-            ot_align(e, f, extraction="top_k")
-
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             ot_align(np.zeros((0, 4)), np.ones((3, 4)))
@@ -240,17 +232,3 @@ class TestLayerSweeps:
         ids = wrap_mono([7, 9])
         assert token_states(ids, params, 1).shape == (2, 16)
 
-
-class TestAlignmentFiles:
-    def test_roundtrip(self, tmp_path):
-        gold = [({(0, 0), (1, 2)}, {(0, 0), (1, 2), (3, 3)}),
-                (set(), {(2, 2)}),
-                ({(1, 1)}, {(1, 1)})]
-        path = tmp_path / "gold.align"
-        write_alignment_file(path, gold)
-        assert read_alignment_file(path) == gold
-
-    def test_format_tokens(self, tmp_path):
-        path = tmp_path / "gold.align"
-        write_alignment_file(path, [({(0, 1)}, {(0, 1), (2, 3)})])
-        assert path.read_text() == "0-1 2?3\n"

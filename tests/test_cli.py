@@ -143,6 +143,22 @@ class TestPretrainEval:
             tail = list(csv.reader(fh))[1:]
         assert tail == full[3:]
 
+    @pytest.mark.parametrize("section, key, value",
+                             [("optim", "lr_peak", 1e-3), (None, "seed", 2)],
+                             ids=["optim", "seed"])
+    def test_resume_refuses_changed_run(self, run_dir, tmp_path, capsys,
+                                        section, key, value):
+        _, _, out = run_dir
+        overrides = json.loads(json.dumps(TINY_OVERRIDES))
+        (overrides[section] if section else overrides)[key] = value
+        cfg = write_config(tmp_path, overrides, "changed.json")
+        code = main(["pretrain", "--config", cfg, "--out",
+                     str(tmp_path / "resumed"), "--resume", str(out / "ckpt_3")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0
+        assert err.startswith("error code=ConfigError msg=") and key in err
+
     def test_no_trtd_zeroes_pair_losses(self, run_dir, tmp_path):
         base, cfg, _ = run_dir
         out = tmp_path / "ablated"

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from xrtd.corpus import (RESERVED_TOKENS, Batch, Corpus, CorpusStats,
-                         DynamicBatcher, LanguageSpec, ToyGrammar, Vocab,
-                         build_vocab, dynamic_batch, gold_alignment,
-                         invert_sentence, language_sampling_probs,
-                         save_corpus_files, synth_corpus, token_map,
-                         transform_sentence)
+from xrtd.corpus import (RESERVED_TOKENS, Corpus, CorpusStats, LanguageSpec,
+                         ToyGrammar, Vocab, build_vocab, draw_batch,
+                         gold_alignment, invert_sentence,
+                         language_sampling_probs, save_corpus_files,
+                         synth_corpus, token_map, transform_sentence)
 
 
 class TestSamplingProbs:
@@ -191,6 +190,8 @@ class TestSynthCorpus:
 
 
 class TestDynamicBatching:
+    """The token-budget sampler that training draws its batches with."""
+
     def pools(self):
         return {"a": [[7] * 16 for _ in range(50)],
                 "b": [[9] * 16 for _ in range(50)]}
@@ -198,74 +199,41 @@ class TestDynamicBatching:
     def stats(self, alpha=0.7):
         return CorpusStats({"a": 100, "b": 10}, alpha)
 
+    def draws(self, pools, budget, seed, n_batches, stats=None):
+        stats = stats or self.stats()
+        probs = language_sampling_probs(stats)
+        rng = np.random.default_rng(seed)
+        return [draw_batch(pools, probs, list(stats.counts), budget, rng)
+                for _ in range(n_batches)]
+
     def test_equal_lengths_divide_budget(self):
-        batcher = dynamic_batch(self.pools(), 64, np.random.default_rng(0),
-                                self.stats(), n_draws=40)
-        batches = list(batcher)
-        assert all(len(b.sequences) == 4 for b in batches[:-1])
-        assert all(b.total_tokens() <= 64 for b in batches)
+        for items, languages in self.draws(self.pools(), 64, 0, 10):
+            assert len(items) == len(languages) == 4
+            assert sum(len(s) for s in items) == 64
 
     def test_budget_and_fill_bounds(self):
         rng = np.random.default_rng(1)
         pools = {"a": [[5] * int(rng.integers(4, 20)) for _ in range(100)],
                  "b": [[6] * int(rng.integers(4, 20)) for _ in range(100)]}
-        batcher = dynamic_batch(pools, 64, np.random.default_rng(2),
-                                self.stats(), n_draws=500)
-        batches = list(batcher)
-        for b in batches[:-1]:
-            assert 32 <= b.total_tokens() <= 64
-
-    def test_padding_waste_bounded(self):
-        rng = np.random.default_rng(3)
-        pools = {"a": [[5] * int(rng.integers(4, 20)) for _ in range(100)]}
-        batcher = dynamic_batch(pools, 64, np.random.default_rng(4),
-                                CorpusStats({"a": 100}, 0.7), n_draws=400)
-        for b in batcher:
-            width = max(len(s) for s in b.sequences)
-            padded = width * len(b.sequences)
-            assert (padded - b.total_tokens()) / padded < 0.3
+        for items, _ in self.draws(pools, 64, 2, 100):
+            assert 32 <= sum(len(s) for s in items) <= 64
 
     def test_language_frequencies_match_probs(self):
         stats = self.stats()
         probs = language_sampling_probs(stats)
-        batcher = dynamic_batch(self.pools(), 64, np.random.default_rng(5),
-                                stats, n_draws=40_000)
-        counts = {"a": 0, "b": 0}
-        n_batches = 0
-        for batch in batcher:
-            n_batches += 1
-            for lang in batch.languages:
-                counts[lang] += 1
-        assert n_batches == pytest.approx(10_000, rel=0.01)
-        total = counts["a"] + counts["b"]
-        assert counts["a"] / total == pytest.approx(probs[0], abs=0.01)
-
-    def test_empty_corpus_is_empty_iterator(self):
-        batcher = dynamic_batch({"a": [], "b": []}, 64,
-                                np.random.default_rng(6), self.stats())
-        assert list(batcher) == []
-        assert batcher.skipped == 0
-
-    def test_overlong_sequences_skipped_with_counter(self):
-        pools = {"a": [[7] * 100]}
-        batcher = dynamic_batch(pools, 64, np.random.default_rng(7),
-                                CorpusStats({"a": 10}, 0.7), n_draws=25)
-        assert list(batcher) == []
-        assert batcher.skipped == 25
+        batches = self.draws(self.pools(), 64, 5, 10_000)
+        languages = [lang for _, langs in batches for lang in langs]
+        assert len(languages) == 40_000
+        assert languages.count("a") / len(languages) == \
+            pytest.approx(probs[0], abs=0.01)
 
     def test_reproducible_for_fixed_seed(self):
-        def run():
-            batcher = dynamic_batch(self.pools(), 64,
-                                    np.random.default_rng(8), self.stats(),
-                                    n_draws=60)
-            return [(b.sequences, b.languages) for b in batcher]
-
-        assert run() == run()
+        assert self.draws(self.pools(), 64, 8, 15) == \
+            self.draws(self.pools(), 64, 8, 15)
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
-            dynamic_batch(self.pools(), 0, np.random.default_rng(9),
-                          self.stats())
+            self.draws(self.pools(), 0, 9, 1)
 
 
 class TestCorpusFiles:

@@ -1,12 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from xrtd.model import (GatedBias, ModelConfig, attention_weights, encode,
-                        gated_rel_pos_bias, init_model_pair, init_params,
+from xrtd.cli import DEFAULT_CONFIG
+from xrtd.model import (ModelConfig, _clipped_offsets, attention_weights,
+                        encode, gated_bias, init_model_pair, init_params,
                         mlm_logits, rtd_logits)
+from xrtd.serialize import save_arrays
 from xrtd.tensor import Tensor, backward, using_dtype, zero_grads
+from xrtd.trainer import Adam, OptimConfig, load_checkpoint, save_checkpoint
 
 
 def small_config(**overrides):
@@ -75,58 +79,45 @@ class TestInit:
             assert np.array_equal(a[name].data, b[name].data)
 
 
-def make_gated_bias(d_value, u, v, w, k=4):
-    table = np.full(2 * k + 1, d_value, dtype=np.float64)
-    return GatedBias(Tensor(table, requires_grad=True),
-                     Tensor(np.asarray(u, dtype=np.float64), requires_grad=True),
-                     Tensor(np.asarray(v, dtype=np.float64), requires_grad=True),
-                     Tensor(np.asarray(w, dtype=np.float64), requires_grad=True),
-                     max_distance=k)
+def gate(d, q, u, v, w):
+    """`gated_bias` on float64 tensors; returns the single bias value."""
+    return gated_bias(*(Tensor(np.asarray(x, dtype=np.float64))
+                        for x in (d, q, u, v, w))).data.item()
 
 
 class TestGatedBias:
     def test_update_gate_one_gives_twice_d(self):
         # q.u -> +inf saturates the update gate at exactly 1.0
-        bias = make_gated_bias(0.7, [1e4, 0.0], [0.0, 0.0], 1.0)
-        q = Tensor(np.array([1.0, 0.0]))
-        r = gated_rel_pos_bias(q, 2, bias)
-        assert r.item() == 2 * 0.7
+        assert gate(0.7, [1.0, 0.0], [1e4, 0.0], [0.0, 0.0], 1.0) == 2 * 0.7
 
     def test_both_gates_zero_gives_d(self):
-        bias = make_gated_bias(-0.3, [-1e4, 0.0], [-1e4, 0.0], 5.0)
-        q = Tensor(np.array([1.0, 0.0]))
-        r = gated_rel_pos_bias(q, 0, bias)
-        assert r.item() == -0.3
+        assert gate(-0.3, [1.0, 0.0], [-1e4, 0.0], [-1e4, 0.0], 5.0) == -0.3
 
     def test_mid_gates_give_1_75_d(self):
         # q.u = q.v = 0 -> both gates 0.5; with w = 1: d + d/2 + d/4
-        bias = make_gated_bias(0.4, [0.0, 0.0], [0.0, 0.0], 1.0)
-        q = Tensor(np.array([1.0, 1.0]))
-        r = gated_rel_pos_bias(q, 1, bias)
-        assert r.item() == pytest.approx(1.75 * 0.4, abs=1e-12)
+        r = gate(0.4, [1.0, 1.0], [0.0, 0.0], [0.0, 0.0], 1.0)
+        assert r == pytest.approx(1.75 * 0.4, abs=1e-12)
 
     @pytest.mark.parametrize("d_value", [-1.0, 0.0, 0.3, 2.0])
     def test_gate_identities_hold_for_all_d(self, d_value):
-        q = Tensor(np.array([1.0, 0.0]))
-        up = make_gated_bias(d_value, [1e4, 0.0], [0.0, 0.0], 3.0)
-        assert gated_rel_pos_bias(q, 1, up).item() == 2 * d_value
-        down = make_gated_bias(d_value, [-1e4, 0.0], [-1e4, 0.0], 3.0)
-        assert gated_rel_pos_bias(q, 1, down).item() == d_value
+        q = [1.0, 0.0]
+        assert gate(d_value, q, [1e4, 0.0], [0.0, 0.0], 3.0) == 2 * d_value
+        assert gate(d_value, q, [-1e4, 0.0], [-1e4, 0.0], 3.0) == d_value
 
     def test_offset_clipping_equalizes_far_keys(self):
-        bias = make_gated_bias(0.0, [0.3, -0.2], [0.1, 0.4], 0.7, k=4)
-        bias.d_table.data = np.linspace(-1, 1, 9)
-        q = Tensor(np.array([0.5, -0.5]))
-        at_k = gated_rel_pos_bias(q, 4, bias).item()
-        beyond_k = gated_rel_pos_bias(q, 9, bias).item()
-        assert at_k == beyond_k
+        # table index of query i, key j: clip(i - j, -4, 4) + 4
+        offs = _clipped_offsets(12, 4)
+        assert offs[4, 0] == offs[9, 0] == offs[11, 2] == 8
+        assert offs[0, 4] == offs[0, 9] == 0
+        assert offs[5, 5] == 4
 
     def test_differentiable_wrt_all_parameters(self):
         with using_dtype(np.float64):
-            bias = make_gated_bias(0.5, [0.2, -0.1], [0.3, 0.2], 0.8)
-            q = Tensor(np.array([0.4, 0.6]), requires_grad=True)
-            backward(gated_rel_pos_bias(q, 2, bias))
-            for t in (bias.d_table, bias.u, bias.v, bias.w, q):
+            d, q, u, v, w = (Tensor(np.asarray(x), requires_grad=True)
+                             for x in (0.5, [0.4, 0.6], [0.2, -0.1],
+                                       [0.3, 0.2], 0.8))
+            backward(gated_bias(d, q, u, v, w))
+            for t in (d, u, v, w, q):
                 assert t.grad is not None
 
 
@@ -267,19 +258,28 @@ class TestHeads:
 
 
 class TestSerialization:
+    """Parameters are saved and loaded only as part of a training checkpoint."""
+
+    def checkpoint(self, tmp_path, share_embeddings=True):
+        pair = init_model_pair(small_config(num_layers=1, role="generator"),
+                               small_config(), seed=5,
+                               share_embeddings=share_embeddings)
+        optim = Adam(pair.all_parameters(), OptimConfig(**DEFAULT_CONFIG["optim"]))
+        path = str(tmp_path / "ck")
+        save_checkpoint(path, pair, optim, np.random.default_rng(0), 0, {})
+        return pair, path
+
     def test_save_load_roundtrip(self, tmp_path):
-        params = init_params(small_config(), seed=5)
-        path = tmp_path / "params.bin"
-        params.save(path)
-        other = init_params(small_config(), seed=6)
-        other.load_values(path)
-        for name in params.tensors:
-            assert np.array_equal(params[name].data, other[name].data), name
+        pair, path = self.checkpoint(tmp_path)
+        loaded = load_checkpoint(path)[0].all_parameters()
+        for name, t in pair.all_parameters().items():
+            assert np.array_equal(t.data, loaded[name].data), name
 
     def test_name_mismatch_rejected(self, tmp_path):
-        params = init_params(small_config(), seed=5)
-        path = tmp_path / "params.bin"
-        params.save(path)
-        other = init_params(small_config(role="generator"), seed=6)
-        with pytest.raises(ValueError):
-            other.load_values(path)
+        _, path = self.checkpoint(tmp_path, share_embeddings=False)
+        shared, _ = self.checkpoint(tmp_path / "shared")
+        params = os.path.join(path, "params.bin")
+        other = {k: t.data for k, t in shared.all_parameters().items()}
+        save_arrays(params, other)
+        with pytest.raises(ValueError, match="gen.embed"):
+            load_checkpoint(path)

@@ -1,10 +1,13 @@
 import csv
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from xrtd import serialize
+from xrtd.cli import DEFAULT_CONFIG, main
 from xrtd.corpus import LanguageSpec, synth_corpus
 from xrtd.model import ModelConfig, init_model_pair
 from xrtd.tensor import Tensor
@@ -28,18 +31,24 @@ def small_models(vocab_size, seed=0):
     return init_model_pair(gen, disc, seed=seed)
 
 
+def optim_config(**overrides):
+    return OptimConfig(**{**DEFAULT_CONFIG["optim"], **overrides})
+
+
 def small_optim(total=40, warmup=8):
-    return OptimConfig(lr_peak=1e-3, warmup_steps=warmup, total_steps=total)
+    return optim_config(lr_peak=1e-3, warmup_steps=warmup, total_steps=total)
 
 
 def small_settings(**kw):
-    defaults = dict(token_budget=64, checkpoint_every=20)
-    defaults.update(kw)
-    return RunSettings(**defaults)
+    data = DEFAULT_CONFIG["data"]
+    values = dict(token_budget=64, mask_ratio=data["mask_ratio"],
+                  use_trtd=True, checkpoint_every=20, alpha=data["alpha"])
+    values.update(kw)
+    return RunSettings(**values)
 
 
 class TestSchedule:
-    cfg = OptimConfig(lr_peak=4e-4, warmup_steps=100, total_steps=500)
+    cfg = optim_config(lr_peak=4e-4, warmup_steps=100, total_steps=500)
 
     def test_apex(self):
         assert lr_at(100, self.cfg) == self.cfg.lr_peak
@@ -62,44 +71,37 @@ class TestSchedule:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            OptimConfig(warmup_steps=10, total_steps=10)
+            optim_config(warmup_steps=10, total_steps=10)
         with pytest.raises(ValueError):
-            OptimConfig(lr_peak=0.0)
+            optim_config(lr_peak=0.0)
 
 
 class TestDecayPredicate:
     def test_weights_decay(self):
-        assert _decays("gen.layer0.attn.wq", False)
-        assert _decays("disc.layer1.ffn.w1", False)
-        assert _decays("disc.embed", False)
-        assert _decays("disc.rtd_w", False)
+        assert _decays("gen.layer0.attn.wq")
+        assert _decays("disc.layer1.ffn.w1")
+        assert _decays("disc.embed")
+        assert _decays("disc.rtd_w")
 
     def test_biases_and_norms_do_not(self):
         for name in ("gen.layer0.attn.bq", "disc.layer1.ffn.b2",
                      "gen.layer0.ln1.g", "disc.final_ln.b",
-                     "gen.mlm_bias", "disc.rtd_b"):
-            assert not _decays(name, False)
-
-    def test_gate_parameters_switchable(self):
-        for name in ("gen.layer0.attn.d_table", "gen.layer0.attn.gate_u",
-                     "disc.layer1.attn.gate_v"):
-            assert not _decays(name, False)
-            assert _decays(name, True)
-        # the multiplicative gate scalar stays decay-free in both modes
-        assert not _decays("gen.layer0.attn.gate_w", True)
-
+                     "gen.mlm_bias", "disc.rtd_b",
+                     "gen.layer0.attn.d_table", "gen.layer0.attn.gate_u",
+                     "disc.layer1.attn.gate_v", "gen.layer0.attn.gate_w"):
+            assert not _decays(name)
 
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
-        optim = Adam({"p": p}, OptimConfig(weight_decay=0.0))
+        optim = Adam({"p": p}, optim_config(weight_decay=0.0))
         optim.step(1e-3)
         assert np.array_equal(p.data, [1.0, -2.0])
 
     def test_two_hand_iterated_steps(self):
-        cfg = OptimConfig(weight_decay=0.0, grad_clip=100.0,
-                          adam_betas=(0.9, 0.98), adam_eps=1e-6)
+        cfg = optim_config(weight_decay=0.0, grad_clip=100.0,
+                           adam_betas=(0.9, 0.98), adam_eps=1e-6)
         p = Tensor(np.array([0.5], dtype=np.float64), requires_grad=True)
         optim = Adam({"p": p}, cfg)
         lr = 1e-2
@@ -117,7 +119,7 @@ class TestAdam:
             assert p.data[0] == pytest.approx(expected, abs=1e-10)
 
     def test_global_norm_clip_halves_large_gradient(self):
-        cfg = OptimConfig(weight_decay=0.0, grad_clip=2.0)
+        cfg = optim_config(weight_decay=0.0, grad_clip=2.0)
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([4.0])
         optim = Adam({"p": p}, cfg)
@@ -127,7 +129,7 @@ class TestAdam:
         assert optim.m["p"][0] == pytest.approx(0.1 * 2.0)
 
     def test_clip_spans_all_parameters(self):
-        cfg = OptimConfig(weight_decay=0.0, grad_clip=2.0)
+        cfg = optim_config(weight_decay=0.0, grad_clip=2.0)
         a = Tensor(np.array([0.0]), requires_grad=True)
         b = Tensor(np.array([0.0]), requires_grad=True)
         a.grad, b.grad = np.array([3.0]), np.array([4.0])
@@ -140,12 +142,12 @@ class TestAdam:
         p = Tensor(np.array([1.0]), requires_grad=True)
         q = Tensor(np.array([1.0]), requires_grad=True)
         p.grad, q.grad = np.array([0.1]), np.array([np.nan])
-        optim = Adam({"fine": p, "broken": q}, OptimConfig())
+        optim = Adam({"fine": p, "broken": q}, optim_config())
         with pytest.raises(RuntimeError, match="broken"):
             optim.step(1e-3)
 
     def test_weight_decay_shrinks_eligible_weights_only(self):
-        cfg = OptimConfig(weight_decay=0.1, grad_clip=100.0)
+        cfg = optim_config(weight_decay=0.1, grad_clip=100.0)
         w = Tensor(np.array([1.0]), requires_grad=True)
         b = Tensor(np.array([1.0]), requires_grad=True)
         w.grad = np.zeros(1)
@@ -270,8 +272,7 @@ class TestTrainLoop:
         models = small_models(len(corpus.vocab))
         counter = {"n": 0}
 
-        def exploding_loss(mono, pair, models_, lam, rng, mode="sample",
-                           use_trtd=True, include_special=False):
+        def exploding_loss(mono, pair, models_, lam, rng, use_trtd=True):
             counter["n"] += 1
             value = 1.0 if counter["n"] == 1 else 100.0
             report = {"mlm": value, "tlm": 0.0, "mrtd": 0.0, "trtd": 0.0,
@@ -288,6 +289,60 @@ class TestTrainLoop:
     def test_heldout_accuracy_in_unit_interval(self):
         corpus = small_corpus()
         models = small_models(len(corpus.vocab))
+        data = DEFAULT_CONFIG["data"]
         acc = heldout_disc_accuracy(models, corpus, seed=1, n_batches=3,
-                                    token_budget=64)
+                                    token_budget=64,
+                                    mask_ratio=data["mask_ratio"],
+                                    alpha=data["alpha"], use_trtd=True)
         assert 0.0 <= acc <= 1.0
+
+
+class TestCheckpointFiles:
+    def saved(self, path, step=0):
+        models = small_models(30)
+        optim = Adam(models.all_parameters(), small_optim())
+        save_checkpoint(str(path), models, optim, np.random.default_rng(0),
+                        step, {"seed": 0})
+        return str(path)
+
+    @pytest.mark.parametrize("file, tensor, edit", [
+        ("params.bin", "disc.embed", lambda a: a.pop("disc.embed")),
+        ("params.bin", "extra", lambda a: a.update(extra=np.zeros(2))),
+        ("params.bin", "disc.layer0.ffn.w1",
+         lambda a: a.update({"disc.layer0.ffn.w1": a["disc.layer0.ffn.w1"][:, :5]})),
+        ("optim.bin", "v/gen.layer0.attn.gate_u",
+         lambda a: a.pop("v/gen.layer0.attn.gate_u")),
+    ], ids=["missing", "extra", "misshaped", "missing-moment"])
+    def test_mismatch_names_the_tensor(self, tmp_path, capsys, file, tensor,
+                                       edit):
+        path = self.saved(tmp_path / "ck")
+        arrays = serialize.load_arrays(os.path.join(path, file))
+        edit(arrays)
+        serialize.save_arrays(os.path.join(path, file), arrays)
+        with pytest.raises(ValueError, match=re.escape(tensor)):
+            load_checkpoint(path)
+        code = main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and tensor in err
+        assert err.startswith('error code=ValueError msg="')
+
+    def test_failed_save_leaves_no_checkpoint(self, tmp_path, monkeypatch):
+        write = serialize.save_arrays
+
+        def fail_on_optim(path, arrays):
+            if os.path.basename(path) == "optim.bin":
+                raise OSError("disk full")
+            write(path, arrays)
+
+        monkeypatch.setattr(serialize, "save_arrays", fail_on_optim)
+        with pytest.raises(OSError, match="disk full"):
+            self.saved(tmp_path / "ck")
+        assert os.listdir(tmp_path) == []
+
+    def test_save_replaces_existing_checkpoint(self, tmp_path):
+        self.saved(tmp_path / "ck", step=3)
+        path = self.saved(tmp_path / "ck", step=5)
+        assert load_checkpoint(path)[3] == 5
+        assert os.listdir(tmp_path) == ["ck"]
