@@ -1,9 +1,11 @@
 """Cross-lingual evaluation: sentence retrieval, word alignment, AER.
 
-Sentence retrieval mean-pools hidden states of a chosen layer and ranks
-targets by cosine similarity. Word alignment runs entropic-regularized
-optimal transport between the two sentences' token vectors and extracts
-mutual-argmax pairs from the transport plan.
+Every layer is swept from one encode of each held-out sentence. Sentence
+retrieval encodes each side as one PAD-padded batch, mean-pools the content
+tokens of every layer and ranks targets by cosine similarity. Word alignment
+encodes each sentence alone, unpadded, then runs entropic-regularized optimal
+transport between the two sentences' token vectors at every layer and
+extracts mutual-argmax pairs from the transport plan.
 """
 
 from __future__ import annotations
@@ -39,44 +41,30 @@ def aer(aset: AlignmentSet) -> float:
     return 1.0 - hits / denom
 
 
-def embed_sentences(seqs: List[List[int]], params: ModelParams,
-                    layer: int) -> np.ndarray:
-    """Mean of non-pad, non-special hidden states at `layer`, one row per input."""
-    if not 0 <= layer <= params.config.num_layers:
-        raise ValueError(f"layer {layer} outside [0, {params.config.num_layers}]")
+def pooled_layers(seqs: List[List[int]], params: ModelParams) -> List[np.ndarray]:
+    """Per layer, the mean of each sentence's non-pad, non-special states.
+
+    `seqs` are encoded once, as one PAD-padded batch; the result holds one
+    (len(seqs), hidden) array per layer, layer 0 being the embedding output.
+    """
     width = max(len(s) for s in seqs)
     ids = np.full((len(seqs), width), PAD, dtype=np.int64)
     for i, s in enumerate(seqs):
         ids[i, :len(s)] = s
-    states = encode(ids, params)[layer].data
-    content = np.ones_like(ids, dtype=bool)
-    for special in SPECIAL_IDS:
-        content &= ids != special
-    out = np.zeros((len(seqs), states.shape[-1]), dtype=np.float64)
-    for i in range(len(seqs)):
-        rows = states[i, content[i]]
-        if rows.size == 0:
-            raise ValueError(f"sentence {i} has no content tokens")
-        out[i] = rows.mean(axis=0)
-    return out
+    content = ~np.isin(ids, sorted(SPECIAL_IDS))
+    empty = np.flatnonzero(~content.any(axis=1))
+    if empty.size:
+        raise ValueError(f"sentence {empty[0]} has no content tokens")
+    layers = []
+    for states in encode(ids, params):
+        out = np.zeros((len(seqs), states.shape[-1]), dtype=np.float64)
+        for i in range(len(seqs)):
+            out[i] = states.data[i, content[i]].mean(axis=0)
+        layers.append(out)
+    return layers
 
 
-@dataclass
-class RetrievalTask:
-    """Translation-paired sentences; gold mapping is the identity."""
-    source: List[List[int]]
-    target: List[List[int]]
-    layer: int
-    direction: str = "en->xx"
-
-    def __post_init__(self):
-        if len(self.source) != len(self.target):
-            raise ValueError("source and target counts differ")
-        if len(self.source) < 2:
-            raise ValueError("retrieval needs at least 2 sentence pairs")
-
-
-def accuracy_at_1(src: np.ndarray, tgt: np.ndarray) -> Tuple[float, int]:
+def retrieve_acc1(src: np.ndarray, tgt: np.ndarray) -> Tuple[float, int]:
     """Fraction of sources whose cosine-nearest target is the same index.
 
     Zero-norm embeddings are excluded and counted; ties resolve to the lower
@@ -96,13 +84,7 @@ def accuracy_at_1(src: np.ndarray, tgt: np.ndarray) -> Tuple[float, int]:
     return (hits / total if total else 0.0), excluded
 
 
-def retrieve_acc1(task: RetrievalTask, params: ModelParams) -> Tuple[float, int]:
-    src = embed_sentences(task.source, params, task.layer)
-    tgt = embed_sentences(task.target, params, task.layer)
-    return accuracy_at_1(src, tgt)
-
-
-def sinkhorn_plan(cost: np.ndarray, eps: float = 0.1, iters: int = 200,
+def sinkhorn_plan(cost: np.ndarray, eps: float, iters: int,
                   tol: float = 1e-6) -> Tuple[np.ndarray, bool]:
     """Entropic OT plan with uniform marginals via row/column scaling.
 
@@ -132,9 +114,8 @@ def mutual_argmax_pairs(plan: np.ndarray) -> Set[Pair]:
     return {(i, int(j)) for i, j in enumerate(row_best) if col_best[j] == i}
 
 
-def ot_align(e_states: np.ndarray, f_states: np.ndarray, eps: float = 0.1,
-             iters: int = 200,
-             tol: float = 1e-6) -> Tuple[Set[Pair], np.ndarray, bool]:
+def ot_align(e_states: np.ndarray, f_states: np.ndarray, eps: float,
+             iters: int, tol: float = 1e-6) -> Tuple[Set[Pair], np.ndarray, bool]:
     """Mutual-argmax token-index pairs of an OT plan over 1 - cosine costs."""
     if e_states.shape[0] < 1 or f_states.shape[0] < 1:
         raise ValueError("need at least one token on each side")
@@ -145,49 +126,43 @@ def ot_align(e_states: np.ndarray, f_states: np.ndarray, eps: float = 0.1,
     return mutual_argmax_pairs(plan), plan, converged
 
 
-def token_states(ids: Sequence[int], params: ModelParams,
-                 layer: int) -> np.ndarray:
-    """Hidden vectors of the content tokens of one (wrapped) sentence."""
-    if not 0 <= layer <= params.config.num_layers:
-        raise ValueError(f"layer {layer} outside [0, {params.config.num_layers}]")
-    arr = np.asarray([list(ids)], dtype=np.int64)
-    states = encode(arr, params)[layer].data[0]
-    keep = [p for p, t in enumerate(ids) if t not in SPECIAL_IDS]
-    return states[keep].astype(np.float64)
-
-
-def align_sentence_pair(e_ids: Sequence[int], f_ids: Sequence[int],
-                        params: ModelParams, layer: int,
-                        **ot_kwargs) -> Set[Pair]:
-    e = token_states(e_ids, params, layer)
-    f = token_states(f_ids, params, layer)
-    pairs, _, _ = ot_align(e, f, **ot_kwargs)
-    return pairs
-
-
 def layer_sweep_retrieval(params: ModelParams, source: List[List[int]],
-                          target: List[List[int]]) -> List[Tuple[int, float]]:
-    """Accuracy@1 per layer, averaged over both retrieval directions."""
-    rows = []
-    for layer in range(params.config.num_layers + 1):
-        fwd, _ = retrieve_acc1(RetrievalTask(source, target, layer, "en->xx"), params)
-        bwd, _ = retrieve_acc1(RetrievalTask(target, source, layer, "xx->en"), params)
-        rows.append((layer, (fwd + bwd) / 2))
-    return rows
+                          target: List[List[int]]) -> List[Tuple[int, float, float]]:
+    """Accuracy@1 per layer in both directions: (layer, en->xx, xx->en).
+
+    The gold target of each source is the one at the same index.
+    """
+    if len(source) != len(target):
+        raise ValueError("source and target counts differ")
+    if len(source) < 2:
+        raise ValueError("retrieval needs at least 2 sentence pairs")
+    src = pooled_layers(source, params)
+    tgt = pooled_layers(target, params)
+    return [(layer, retrieve_acc1(s, t)[0], retrieve_acc1(t, s)[0])
+            for layer, (s, t) in enumerate(zip(src, tgt))]
+
+
+def _content_states(ids: Sequence[int], params: ModelParams) -> List[np.ndarray]:
+    """Per layer, the states of one sentence's content tokens (one encode)."""
+    keep = [p for p, t in enumerate(ids) if t not in SPECIAL_IDS]
+    states = encode(np.asarray([list(ids)], dtype=np.int64), params)
+    return [s.data[0][keep].astype(np.float64) for s in states]
 
 
 def layer_sweep_aer(params: ModelParams,
                     pairs: List[Tuple[List[int], List[int]]],
                     gold: List[Tuple[Set[Pair], Set[Pair]]],
-                    **ot_kwargs) -> List[Tuple[int, float]]:
-    """Mean AER per layer over (wrapped e, wrapped f) sentence pairs."""
-    rows = []
-    for layer in range(params.config.num_layers + 1):
-        scores = []
-        for (e_ids, f_ids), (sure, possible) in zip(pairs, gold):
-            predicted = align_sentence_pair(e_ids, f_ids, params, layer,
-                                            **ot_kwargs)
-            scores.append(aer(AlignmentSet(predicted, sure, possible)))
-        rows.append((layer, float(np.mean(scores))))
-    return rows
+                    eps: float, iters: int) -> List[Tuple[int, float]]:
+    """Mean AER per layer over (wrapped e, wrapped f) sentence pairs.
 
+    Each sentence is encoded alone, unpadded, and aligned at every layer;
+    states from a padded batch would differ from these in the last bits.
+    """
+    scores: List[List[float]] = [[] for _ in range(params.config.num_layers + 1)]
+    for (e_ids, f_ids), (sure, possible) in zip(pairs, gold):
+        e_layers = _content_states(e_ids, params)
+        f_layers = _content_states(f_ids, params)
+        for layer, (e, f) in enumerate(zip(e_layers, f_layers)):
+            predicted, _, _ = ot_align(e, f, eps, iters)
+            scores[layer].append(aer(AlignmentSet(predicted, sure, possible)))
+    return [(layer, float(np.mean(s))) for layer, s in enumerate(scores)]

@@ -70,6 +70,11 @@ DEFAULT_CONFIG: Dict = {
 }
 
 
+# eval aligns the first ALIGNED_PAIRS held-out pairs of each language;
+# perfbench/checks.py ALIGNED_PAIRS mirrors this value
+ALIGNED_PAIRS = 50
+
+
 class ConfigError(ValueError):
     pass
 
@@ -191,32 +196,28 @@ def cmd_eval(args) -> int:
     models, _, _, _, _ = load_checkpoint(args.checkpoint)
     corpus = _build_corpus(config)
     disc = models.discriminator
-    n_pairs = config["eval"]["n_pairs"]
-    ot_kwargs = {"eps": config["eval"]["ot_eps"],
-                 "iters": config["eval"]["ot_iters"]}
+    ev = config["eval"]
 
     retrieval_rows, sweep_rows, aer_rows = [], [], []
     for spec in corpus.specs:
         if spec.kind == "base":
             continue
-        pairs = _heldout_pairs(config, corpus, spec.lang, n_pairs)
+        pairs = _heldout_pairs(config, corpus, spec.lang, ev["n_pairs"])
         src = [wrap_mono(e) for e, _ in pairs]
         tgt = [wrap_mono(f) for _, f in pairs]
-        # per-layer accuracy, already averaged over both retrieval directions
         sweep = align.layer_sweep_retrieval(disc, src, tgt)
-        best_layer = max(sweep, key=lambda r: r[1])[0]
-        for layer, acc in sweep:
-            sweep_rows.append((spec.lang, layer, acc))
-        fwd, _ = align.retrieve_acc1(
-            align.RetrievalTask(src, tgt, best_layer, "en->xx"), disc)
-        bwd, _ = align.retrieve_acc1(
-            align.RetrievalTask(tgt, src, best_layer, "xx->en"), disc)
+        for layer, fwd, bwd in sweep:
+            sweep_rows.append((spec.lang, layer, (fwd + bwd) / 2))
+        # the first layer with the highest direction-averaged accuracy
+        best_layer, fwd, bwd = max(sweep, key=lambda r: (r[1] + r[2]) / 2)
         retrieval_rows.append((spec.lang, "en->xx", best_layer, fwd))
         retrieval_rows.append((spec.lang, "xx->en", best_layer, bwd))
 
-        gold = [(set(gold_alignment(spec, len(e))),) * 2 for e, _ in pairs[:50]]
-        wrapped = [(wrap_mono(e), wrap_mono(f)) for e, f in pairs[:50]]
-        aer_sweep = align.layer_sweep_aer(disc, wrapped, gold, **ot_kwargs)
+        aligned = pairs[:ALIGNED_PAIRS]
+        gold = [(set(gold_alignment(spec, len(e))),) * 2 for e, _ in aligned]
+        wrapped = [(wrap_mono(e), wrap_mono(f)) for e, f in aligned]
+        aer_sweep = align.layer_sweep_aer(disc, wrapped, gold,
+                                          ev["ot_eps"], ev["ot_iters"])
         for layer, score in aer_sweep:
             aer_rows.append((spec.lang, layer, score))
 

@@ -32,8 +32,8 @@ class ModelConfig:
     ffn_size: int
     vocab_size: int
     max_rel_distance: int
-    init_range: float = 0.02
-    role: str = "discriminator"
+    init_range: float
+    role: str
 
     def __post_init__(self):
         if self.hidden_size % self.num_heads != 0:
@@ -50,15 +50,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.hidden_size // self.num_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers, "hidden_size": self.hidden_size,
-            "num_heads": self.num_heads, "ffn_size": self.ffn_size,
-            "vocab_size": self.vocab_size,
-            "max_rel_distance": self.max_rel_distance,
-            "init_range": self.init_range, "role": self.role,
-        }
 
 
 def gated_bias(d: Tensor, q: Tensor, u: Tensor, v: Tensor, w: Tensor) -> Tensor:

@@ -192,8 +192,8 @@ def save_checkpoint(path: str, models: ModelPair, optimizer: Adam,
     os.makedirs(tmp)
     try:
         config = {
-            "generator": models.generator.config.to_dict(),
-            "discriminator": models.discriminator.config.to_dict(),
+            "generator": asdict(models.generator.config),
+            "discriminator": asdict(models.discriminator.config),
             "share_embeddings": models.share_embeddings,
             "optim": asdict(optimizer.config),
             "step": step,

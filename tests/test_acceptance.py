@@ -79,7 +79,8 @@ def test_criterion_3_initialization():
     in_range = True
     for seed in range(3):
         cfg = ModelConfig(num_layers=3, hidden_size=96, num_heads=4,
-                          ffn_size=192, vocab_size=120, max_rel_distance=4)
+                          ffn_size=192, vocab_size=120, max_rel_distance=4,
+                          init_range=0.02, role="discriminator")
         params = init_params(cfg, seed=seed)
         for name, t in params.tensors.items():
             base = name.split(".")[-1]
@@ -91,7 +92,8 @@ def test_criterion_3_initialization():
     # rescaled output matrices: std ratio to the unscaled input matrix of the
     # same block approximates 1/sqrt(2l)
     cfg = ModelConfig(num_layers=3, hidden_size=128, num_heads=4,
-                      ffn_size=256, vocab_size=50, max_rel_distance=4)
+                      ffn_size=256, vocab_size=50, max_rel_distance=4,
+                      init_range=0.02, role="discriminator")
     params = init_params(cfg, seed=7)
     ratios_ok, details = True, []
     for layer in (1, 2, 3):

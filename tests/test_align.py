@@ -3,11 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from xrtd.align import (AlignmentSet, RetrievalTask, accuracy_at_1, aer,
-                        align_sentence_pair, embed_sentences,
-                        layer_sweep_aer, layer_sweep_retrieval,
-                        mutual_argmax_pairs, ot_align, retrieve_acc1,
-                        sinkhorn_plan, token_states)
+from xrtd.align import (AlignmentSet, aer, layer_sweep_aer,
+                        layer_sweep_retrieval, mutual_argmax_pairs, ot_align,
+                        pooled_layers, retrieve_acc1, sinkhorn_plan)
 from xrtd.model import ModelConfig, encode, init_params
 from xrtd.objectives import wrap_mono
 
@@ -15,19 +13,15 @@ from xrtd.objectives import wrap_mono
 def small_params(vocab_size=40, layers=2, seed=0):
     cfg = ModelConfig(num_layers=layers, hidden_size=16, num_heads=2,
                       ffn_size=32, vocab_size=vocab_size, max_rel_distance=4,
-                      role="discriminator")
+                      init_range=0.02, role="discriminator")
     return init_params(cfg, seed=seed)
-
-
-def sentence_embed(ids, params, layer):
-    return embed_sentences([list(ids)], params, layer)[0]
 
 
 class TestSentenceEmbedding:
     def test_single_token_is_its_hidden_state(self):
         params = small_params()
         ids = wrap_mono([7])
-        emb = sentence_embed(ids, params, layer=1)
+        emb = pooled_layers([ids], params)[1][0]
         states = encode(np.array([ids]), params)[1].data
         assert np.allclose(emb, states[0, 1], atol=1e-7)
 
@@ -35,8 +29,8 @@ class TestSentenceEmbedding:
         params = small_params()
         a = wrap_mono([7, 9, 11])
         b = wrap_mono([6, 8])
-        batched = embed_sentences([a, b], params, layer=2)
-        alone = sentence_embed(b, params, layer=2)
+        batched = pooled_layers([a, b], params)[2]
+        alone = pooled_layers([b], params)[2][0]
         assert np.allclose(batched[1], alone, atol=1e-5)
 
     def test_hand_averaged_three_tokens(self):
@@ -44,26 +38,20 @@ class TestSentenceEmbedding:
         ids = wrap_mono([7, 9, 11])
         states = encode(np.array([ids]), params)[1].data
         manual = states[0, 1:4].mean(axis=0)
-        assert np.allclose(sentence_embed(ids, params, 1), manual, atol=1e-6)
-
-    def test_layer_out_of_range(self):
-        params = small_params(layers=2)
-        with pytest.raises(ValueError):
-            sentence_embed(wrap_mono([7]), params, 3)
-        with pytest.raises(ValueError):
-            sentence_embed(wrap_mono([7]), params, -1)
+        assert np.allclose(pooled_layers([ids], params)[1][0], manual, atol=1e-6)
 
     def test_all_special_sentence_rejected(self):
         params = small_params()
-        with pytest.raises(ValueError):
-            sentence_embed([2, 3], params, 1)
+        with pytest.raises(ValueError, match="sentence 1"):
+            pooled_layers([wrap_mono([7]), [2, 3]], params)
 
 
 class TestRetrieval:
     def test_self_retrieval_is_perfect(self):
         params = small_params()
         sents = [wrap_mono([5 + i, 6 + i]) for i in range(8)]
-        acc, excluded = retrieve_acc1(RetrievalTask(sents, sents, 1), params)
+        pooled = pooled_layers(sents, params)[1]
+        acc, excluded = retrieve_acc1(pooled, pooled)
         assert acc == 1.0 and excluded == 0
 
     def test_constructed_fixture_seven_of_ten(self):
@@ -72,7 +60,7 @@ class TestRetrieval:
         src = tgt.copy()
         for i in (2, 5, 8):   # point three sources at the wrong target
             src[i] = tgt[(i + 1) % 10]
-        acc, _ = accuracy_at_1(src, tgt)
+        acc, _ = retrieve_acc1(src, tgt)
         assert acc == pytest.approx(0.7)
 
     def test_untrained_model_is_near_chance(self):
@@ -80,37 +68,40 @@ class TestRetrieval:
         rng = np.random.default_rng(1)
         src = [wrap_mono(list(rng.integers(5, 300, size=6))) for _ in range(100)]
         tgt = [wrap_mono(list(rng.integers(5, 300, size=6))) for _ in range(100)]
-        acc, _ = retrieve_acc1(RetrievalTask(src, tgt, 1), params)
+        acc, _ = retrieve_acc1(pooled_layers(src, params)[1],
+                               pooled_layers(tgt, params)[1])
         assert acc < 0.15
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(2)
         src = rng.normal(size=(12, 6))
         tgt = rng.normal(size=(12, 6))
-        base, _ = accuracy_at_1(src, tgt)
-        scaled, _ = accuracy_at_1(src * 37.0, tgt * 0.003)
+        base, _ = retrieve_acc1(src, tgt)
+        scaled, _ = retrieve_acc1(src * 37.0, tgt * 0.003)
         assert base == scaled
 
     def test_zero_norm_rows_excluded_with_count(self):
         src = np.eye(4)
         tgt = np.eye(4)
         src[2] = 0.0
-        acc, excluded = accuracy_at_1(src, tgt)
+        acc, excluded = retrieve_acc1(src, tgt)
         assert excluded == 1
         assert acc == 1.0   # remaining three all retrieve correctly
 
     def test_task_validation(self):
-        with pytest.raises(ValueError):
-            RetrievalTask([[2, 5, 3]], [[2, 5, 3], [2, 6, 3]], 0)
-        with pytest.raises(ValueError):
-            RetrievalTask([[2, 5, 3]], [[2, 5, 3]], 0)
+        params = small_params()
+        with pytest.raises(ValueError, match="counts differ"):
+            layer_sweep_retrieval(params, [[2, 5, 3]], [[2, 5, 3], [2, 6, 3]])
+        with pytest.raises(ValueError, match="at least 2"):
+            layer_sweep_retrieval(params, [[2, 5, 3]], [[2, 5, 3]])
 
 
 class TestSinkhorn:
     def test_identical_states_give_identity_alignment(self):
         rng = np.random.default_rng(3)
         states = rng.normal(size=(5, 8))
-        pairs, plan, converged = ot_align(states, states.copy(), iters=2000)
+        pairs, plan, converged = ot_align(states, states.copy(), eps=0.1,
+                                          iters=2000)
         assert converged
         assert pairs == {(i, i) for i in range(5)}
 
@@ -156,7 +147,7 @@ class TestSinkhorn:
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
-            ot_align(np.zeros((0, 4)), np.ones((3, 4)))
+            ot_align(np.zeros((0, 4)), np.ones((3, 4)), eps=0.1, iters=200)
 
     def test_mutual_argmax_on_hand_plan(self):
         plan = np.array([[0.6, 0.1, 0.0],
@@ -216,19 +207,36 @@ class TestLayerSweeps:
         sents = [wrap_mono([5 + i, 7 + i]) for i in range(6)]
         rows = layer_sweep_retrieval(params, sents, sents)
         assert [r[0] for r in rows] == [0, 1, 2, 3]
-        assert all(0.0 <= r[1] <= 1.0 for r in rows)
-        assert rows[0][1] == 1.0   # self-retrieval at the embedding layer
+        assert all(0.0 <= acc <= 1.0 for r in rows for acc in r[1:])
+        assert rows[0][1:] == (1.0, 1.0)   # self-retrieval at the embedding layer
+
+    def test_retrieval_sweep_directions_match_pooled_states(self):
+        params = small_params(vocab_size=60, layers=2, seed=4)
+        rng = np.random.default_rng(9)
+        src = [wrap_mono(list(rng.integers(5, 60, size=4))) for _ in range(12)]
+        tgt = [wrap_mono(list(rng.integers(5, 60, size=3))) for _ in range(12)]
+        rows = layer_sweep_retrieval(params, src, tgt)
+        for (_, fwd, bwd), s, t in zip(rows, pooled_layers(src, params),
+                                       pooled_layers(tgt, params)):
+            assert fwd == retrieve_acc1(s, t)[0]
+            assert bwd == retrieve_acc1(t, s)[0]
 
     def test_aer_sweep_has_row_per_layer(self):
         params = small_params(layers=2)
         pairs = [(wrap_mono([5, 6, 7]), wrap_mono([8, 9, 10]))]
         gold = [({(0, 0), (1, 1), (2, 2)}, {(0, 0), (1, 1), (2, 2)})]
-        rows = layer_sweep_aer(params, pairs, gold)
+        rows = layer_sweep_aer(params, pairs, gold, eps=0.1, iters=200)
         assert [r[0] for r in rows] == [0, 1, 2]
         assert all(0.0 <= r[1] <= 1.0 for r in rows)
 
-    def test_token_states_drop_specials(self):
-        params = small_params()
-        ids = wrap_mono([7, 9])
-        assert token_states(ids, params, 1).shape == (2, 16)
-
+    def test_aer_sweep_aligns_content_tokens_only(self):
+        # a sentence aligned to its reversal; gold indices count content
+        # tokens from 0, so keeping BOS/EOS would shift every predicted pair
+        # off the gold ones
+        params = small_params(layers=2)
+        e = wrap_mono([5, 9, 13, 17])
+        f = wrap_mono([17, 13, 9, 5])
+        gold = {(i, 3 - i) for i in range(4)}
+        rows = layer_sweep_aer(params, [(e, f)], [(gold, gold)],
+                               eps=0.1, iters=2000)
+        assert rows == [(0, 0.0), (1, 0.0), (2, 0.0)]

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
-from xrtd.cli import ConfigError, DEFAULT_CONFIG, load_config, main
+from xrtd import align
+from xrtd.cli import (ALIGNED_PAIRS, ConfigError, DEFAULT_CONFIG, load_config,
+                      main)
 
 TINY_OVERRIDES = {
     "seed": 1,
@@ -187,3 +189,22 @@ class TestPretrainEval:
         with open(eval_out / "layer_sweep_aer.csv") as fh:
             aer_rows = list(csv.DictReader(fh))
         assert all(0.0 <= float(r["aer"]) <= 1.0 for r in aer_rows)
+
+    def test_eval_encodes_each_sentence_once_per_sweep(self, run_dir, tmp_path,
+                                                       monkeypatch):
+        # retrieval encodes each side once as a batch; alignment encodes
+        # each aligned sentence once, alone
+        _, cfg, out = run_dir
+        calls = []
+        encode = align.encode
+
+        def counting(ids, params):
+            calls.append(len(ids))
+            return encode(ids, params)
+        monkeypatch.setattr(align, "encode", counting)
+        assert main(["eval", "--config", cfg, "--checkpoint",
+                     str(out / "ckpt_final"), "--out", str(tmp_path / "e")]) == 0
+        n_pairs = TINY_OVERRIDES["eval"]["n_pairs"]
+        aligned = min(n_pairs, ALIGNED_PAIRS)
+        assert len(calls) == 2 + 2 * aligned   # one non-base language
+        assert calls[:2] == [n_pairs, n_pairs]

@@ -15,7 +15,8 @@ from xrtd.trainer import Adam, OptimConfig, load_checkpoint, save_checkpoint
 
 def small_config(**overrides):
     base = dict(num_layers=2, hidden_size=8, num_heads=2, ffn_size=16,
-                vocab_size=20, max_rel_distance=4, role="discriminator")
+                vocab_size=20, max_rel_distance=4, init_range=0.02,
+                role="discriminator")
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -150,7 +151,8 @@ class TestAttention:
     def test_three_token_single_head_hand_oracle(self):
         with using_dtype(np.float64):
             cfg = ModelConfig(num_layers=1, hidden_size=2, num_heads=1,
-                              ffn_size=4, vocab_size=10, max_rel_distance=2)
+                              ffn_size=4, vocab_size=10, max_rel_distance=2,
+                              init_range=0.02, role="discriminator")
             params = init_params(cfg, seed=0)
             rng = np.random.default_rng(42)
             for name in ("wq", "wk", "wv"):

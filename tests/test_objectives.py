@@ -16,10 +16,10 @@ from xrtd.tensor import backward, gather_rows, zero_grads
 def tiny_pair(vocab_size=100, seed=0, share=True):
     gen = ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
                       vocab_size=vocab_size, max_rel_distance=4,
-                      role="generator")
+                      init_range=0.02, role="generator")
     disc = ModelConfig(num_layers=2, hidden_size=8, num_heads=2, ffn_size=16,
                        vocab_size=vocab_size, max_rel_distance=4,
-                       role="discriminator")
+                       init_range=0.02, role="discriminator")
     return init_model_pair(gen, disc, seed=seed, share_embeddings=share)
 
 
@@ -352,7 +352,8 @@ class TestMemorization:
         sentences = [wrap_mono(s) for s in corpus.mono["en"][:100]]
         cfg = ModelConfig(num_layers=2, hidden_size=32, num_heads=2,
                           ffn_size=64, vocab_size=len(corpus.vocab),
-                          max_rel_distance=4, role="generator")
+                          max_rel_distance=4, init_range=0.02,
+                          role="generator")
         gen = init_params(cfg, seed=0)
         optim = Adam(gen.tensors, OptimConfig(**{**DEFAULT_CONFIG["optim"],
                                                  "weight_decay": 0.0}))

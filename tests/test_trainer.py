@@ -24,10 +24,10 @@ def small_corpus(seed=0, n=60):
 def small_models(vocab_size, seed=0):
     gen = ModelConfig(num_layers=1, hidden_size=16, num_heads=2, ffn_size=32,
                       vocab_size=vocab_size, max_rel_distance=4,
-                      role="generator")
+                      init_range=0.02, role="generator")
     disc = ModelConfig(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32,
                        vocab_size=vocab_size, max_rel_distance=4,
-                       role="discriminator")
+                       init_range=0.02, role="discriminator")
     return init_model_pair(gen, disc, seed=seed)
 
 
