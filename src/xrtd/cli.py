@@ -156,12 +156,18 @@ def cmd_pretrain(args) -> int:
     corpus = _build_corpus(config)
     if args.resume:
         models, optimizer, rng, step, meta = load_checkpoint(args.resume)
-        # the checkpoint's Adam settings and rng continue the run, so a
-        # schedule or seed that differs from them would mix two runs
+        # the checkpoint's Adam settings, rng and batches continue the run, so
+        # a schedule, seed or data setting that differs would mix two runs;
+        # checkpoint_every only decides where checkpoints are written
         changed = [f"optim.{k}" for k, v in asdict(optim_cfg).items()
                    if getattr(optimizer.config, k) != v]
         if meta.get("seed") != config["seed"]:
             changed.append("seed")
+        saved = meta.get("settings", {})
+        changed += [f"data.{k}" for k in ("token_budget", "mask_ratio", "alpha")
+                    if saved.get(k) != getattr(settings, k)]
+        if saved.get("use_trtd") != settings.use_trtd:
+            changed.append("--no-trtd")
         if changed:
             raise ConfigError(f"config differs from checkpoint {args.resume} "
                               f"in {', '.join(changed)}")

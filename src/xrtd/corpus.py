@@ -239,10 +239,10 @@ def draw_batch(pools: Dict[str, list], probs: np.ndarray, langs: List[str],
                budget: int, rng: np.random.Generator) -> Tuple[list, List[str]]:
     """Fill one batch of about `budget` tokens from per-language pools.
 
-    Each draw picks a language by `probs` (over `langs`), then an item
-    uniformly within that language's pool; an item is a token list or an
-    (ids, boundary) pair. Drawing stops once the budget is reached or the
-    next item would exceed it; the first item is always kept. Returns the
+    Each draw picks a language by `probs` (over `langs`), then an item, a
+    token list such as a wrapped sentence or translation pair, uniformly
+    within that language's pool. Drawing stops once the budget is reached or
+    the next item would exceed it; the first item is always kept. Returns the
     items and their languages in draw order.
     """
     if budget <= 0:
@@ -252,12 +252,11 @@ def draw_batch(pools: Dict[str, list], probs: np.ndarray, langs: List[str],
         lang = langs[rng.choice(len(langs), p=probs)]
         pool = pools[lang]
         item = pool[rng.integers(len(pool))]
-        size = len(item[0]) if isinstance(item, tuple) else len(item)
-        if items and used + size > budget:
+        if items and used + len(item) > budget:
             return items, languages
         items.append(item)
         languages.append(lang)
-        used += size
+        used += len(item)
         if used >= budget:
             return items, languages
 

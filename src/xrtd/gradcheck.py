@@ -73,11 +73,9 @@ def _random_batches(vocab_size: int, rng: np.random.Generator,
                 for _ in range(int(rng.integers(4, 8)))]
 
     mono = build_masked_batch(
-        [wrap_mono(sentence()) for _ in range(2)], ["a", "b"], mask_ratio, rng)
+        [wrap_mono(sentence()) for _ in range(2)], mask_ratio, rng)
     pairs = [wrap_pair(sentence(), sentence()) for _ in range(2)]
-    pair = build_masked_batch([p[0] for p in pairs], ["b", "b"], mask_ratio,
-                              rng, boundaries=[p[1] for p in pairs])
-    return mono, pair
+    return mono, build_masked_batch(pairs, mask_ratio, rng)
 
 
 def frozen_joint_loss(mono: MaskedBatch, pair: MaskedBatch,

@@ -75,14 +75,14 @@ class ModelParams:
         return self.tensors[name]
 
 
-def init_params(config: ModelConfig, seed: int, dtype=None) -> ModelParams:
+def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Initialize all weights Uniform[-init_range, init_range].
 
     For block l (1-based), the attention output projection and the FFN output
     matrix are rescaled by 1/sqrt(2l). Biases start at zero, norm gains at one.
     """
     rng = np.random.default_rng(seed)
-    dtype = dtype or get_default_dtype()
+    dtype = get_default_dtype()
     r = config.init_range
     d, ffn, heads = config.hidden_size, config.ffn_size, config.num_heads
     dk = config.head_dim

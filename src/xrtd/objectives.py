@@ -25,13 +25,12 @@ def wrap_mono(ids: Sequence[int]) -> List[int]:
     return [BOS, *ids, EOS]
 
 
-def wrap_pair(e_ids: Sequence[int], f_ids: Sequence[int]) -> Tuple[List[int], int]:
-    """Concatenate a translation pair into one input; returns (ids, boundary).
+def wrap_pair(e_ids: Sequence[int], f_ids: Sequence[int]) -> List[int]:
+    """Concatenate a translation pair into one input: BOS e EOS SEP f EOS.
 
-    Layout: BOS e EOS SEP f EOS. `boundary` indexes the first token of f.
+    f starts right after the only SEP, so the ids alone give both segments.
     """
-    ids = [BOS, *e_ids, EOS, SEP, *f_ids, EOS]
-    return ids, len(e_ids) + 3
+    return [BOS, *e_ids, EOS, SEP, *f_ids, EOS]
 
 
 class _TokenPositions:
@@ -55,8 +54,11 @@ class MaskedBatch(_TokenPositions):
     original: np.ndarray                 # [B, n] int64, PAD-padded
     masked: np.ndarray                   # [B, n], mask positions -> MASK
     mask_positions: List[np.ndarray]     # sorted positions per sequence
-    languages: List[str]
-    segment_boundary: List[int] | None = None   # pairs only
+
+    @property
+    def is_pair(self) -> bool:
+        """Whether the batch holds translation pairs (a SEP token)."""
+        return bool((self.original == SEP).any())
 
 
 @dataclass
@@ -64,9 +66,6 @@ class CorruptedBatch(_TokenPositions):
     original: np.ndarray
     corrupt: np.ndarray
     labels: np.ndarray                   # [B, n], 1 = replaced
-    provenance: List[Tuple[int, int, int]]   # (sequence, position, sampled id)
-    languages: List[str]
-    mask_positions: List[np.ndarray]
 
 
 def select_mask_positions(ids: Sequence[int], mask_ratio: float,
@@ -87,26 +86,29 @@ def select_mask_positions(ids: Sequence[int], mask_ratio: float,
     return np.sort(picked)
 
 
-def build_masked_batch(seqs: List[List[int]], languages: List[str],
-                       mask_ratio: float, rng: np.random.Generator,
-                       boundaries: List[int] | None = None) -> MaskedBatch:
-    """Pad sequences and select mask positions, per segment for pairs."""
+def build_masked_batch(seqs: List[List[int]], mask_ratio: float,
+                       rng: np.random.Generator) -> MaskedBatch:
+    """Pad sequences and select mask positions.
+
+    A translation pair (a sequence holding SEP) is masked per segment: first
+    up to and including SEP, then the rest.
+    """
     width = max(len(s) for s in seqs)
     original = np.full((len(seqs), width), PAD, dtype=np.int64)
     positions = []
     for b, seq in enumerate(seqs):
         original[b, :len(seq)] = seq
-        if boundaries is None:
-            positions.append(select_mask_positions(seq, mask_ratio, rng))
-        else:
-            m_e = select_mask_positions(seq, mask_ratio, rng, 0, boundaries[b])
-            m_f = select_mask_positions(seq, mask_ratio, rng, boundaries[b])
+        if SEP in seq:
+            f_start = seq.index(SEP) + 1
+            m_e = select_mask_positions(seq, mask_ratio, rng, 0, f_start)
+            m_f = select_mask_positions(seq, mask_ratio, rng, f_start)
             positions.append(np.concatenate([m_e, m_f]))
+        else:
+            positions.append(select_mask_positions(seq, mask_ratio, rng))
     masked = original.copy()
     for b, pos in enumerate(positions):
         masked[b, pos] = MASK
-    return MaskedBatch(original, masked, positions, list(languages),
-                       None if boundaries is None else list(boundaries))
+    return MaskedBatch(original, masked, positions)
 
 
 def _mask_index(batch: MaskedBatch) -> Tuple[np.ndarray, np.ndarray]:
@@ -132,7 +134,7 @@ def generator_loss_mlm(batch: MaskedBatch, generator: ModelParams):
     Returns (loss, logits) where logits are detached [num_masked, V] rows in
     batch order, retained for corruption sampling.
     """
-    if batch.segment_boundary is not None:
+    if batch.is_pair:
         raise ValueError("MLM loss expects a monolingual batch")
     loss, logits, _ = _generator_loss(batch, generator)
     return loss, logits
@@ -140,8 +142,8 @@ def generator_loss_mlm(batch: MaskedBatch, generator: ModelParams):
 
 def generator_loss_tlm(batch: MaskedBatch, generator: ModelParams):
     """MLM over a concatenated translation pair, masked in both segments."""
-    if batch.segment_boundary is None:
-        raise ValueError("TLM loss requires segment boundaries")
+    if not batch.is_pair:
+        raise ValueError("TLM loss requires translation pairs (a SEP token)")
     loss, logits, _ = _generator_loss(batch, generator)
     return loss, logits
 
@@ -163,10 +165,7 @@ def sample_corruption(batch: MaskedBatch, generator_logits: np.ndarray,
     corrupt[b_idx, p_idx] = sampled
     labels = np.zeros_like(batch.original)
     labels[b_idx, p_idx] = (sampled != batch.original[b_idx, p_idx]).astype(np.int64)
-    provenance = [(int(b), int(p), int(s)) for b, p, s in zip(b_idx, p_idx, sampled)]
-    return CorruptedBatch(batch.original, corrupt, labels, provenance,
-                          list(batch.languages),
-                          [p.copy() for p in batch.mask_positions])
+    return CorruptedBatch(batch.original, corrupt, labels)
 
 
 def discriminator_loss_rtd(corrupt: CorruptedBatch, discriminator: ModelParams):
@@ -186,10 +185,10 @@ def discriminator_loss_rtd(corrupt: CorruptedBatch, discriminator: ModelParams):
 
 
 def joint_loss(mono: MaskedBatch, pair: MaskedBatch | None, models: ModelPair,
-               lam: float, rng: np.random.Generator, use_trtd: bool = True):
+               lam: float, rng: np.random.Generator):
     """Four-term joint objective; returns (total loss, report dict).
 
-    With `use_trtd=False`, the translation-pair terms (TLM and TRTD) are
+    Without a `pair` batch, the translation-pair terms (TLM and TRTD) are
     dropped, leaving monolingual MLM + lambda * MRTD.
     """
     if lam < 0:
@@ -207,9 +206,7 @@ def joint_loss(mono: MaskedBatch, pair: MaskedBatch | None, models: ModelPair,
     }
     total = loss_mlm + lam * loss_mrtd
 
-    if use_trtd:
-        if pair is None:
-            raise ValueError("pair batch required unless use_trtd=False")
+    if pair is not None:
         loss_tlm, pair_logits = generator_loss_tlm(pair, models.generator)
         pair_corrupt = sample_corruption(pair, pair_logits, rng)
         loss_trtd, acc_t, n_t = discriminator_loss_rtd(pair_corrupt,

@@ -3,8 +3,14 @@
 The engine is deliberately small: numpy arrays wrapped in a `Tensor` that
 records a dynamic tape of closures. Broadcasting is supported for scalar and
 trailing-dimension cases (numpy semantics with gradient un-broadcasting).
-Training runs in float32; gradient checking switches the default element type
-to float64 via `using_dtype`.
+Parameters are created in the default element type, float32, but activations
+do not stay float32. `_as_tensor` wraps a Python scalar operand as a 0-d
+float64 array; NumPy 2 (NEP 50) promotes a float32 operand to float64 against
+it, while NumPy 1.x, with value-based casting, keeps float32. So under NumPy 2
+the attention score scale and the gated bias's `1.0 - g_up` make every encoder
+layer after the embedding compute in float64. ROADMAP item 2 holds the fix.
+Gradient checking switches the default element type to float64 via
+`using_dtype`.
 """
 
 from __future__ import annotations
@@ -26,14 +32,6 @@ class GradError(RuntimeError):
     """Raised on autograd contract violations (e.g. backward on non-scalar)."""
 
 
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype).type
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported element type {dtype}")
-    _DEFAULT_DTYPE = dtype
-
-
 def get_default_dtype():
     return _DEFAULT_DTYPE
 
@@ -41,12 +39,15 @@ def get_default_dtype():
 @contextlib.contextmanager
 def using_dtype(dtype):
     """Temporarily switch the default element type (float32/float64)."""
-    previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    global _DEFAULT_DTYPE
+    dtype = np.dtype(dtype).type
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"unsupported element type {dtype}")
+    previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _DEFAULT_DTYPE = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -67,6 +68,9 @@ class Tensor:
 
     Only tensors created with `requires_grad=True` (and results derived from
     them) receive gradients; plain constants never allocate grad buffers.
+    Every op builds its result here with its inputs as `parents` and its
+    gradient closure as `backward_fn`; the constructor keeps both only when
+    some parent requires grad, so this is the one place a node joins the tape.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -108,84 +112,65 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = _as_tensor(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
 
         def bw(g):
             self._accumulate(g)
             other._accumulate(g)
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor(self.data + other.data, parents=(self, other), backward_fn=bw)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, parents=(self,))
-
         def bw(g):
             self._accumulate(-g)
-        out._backward_fn = bw if out.requires_grad else None
-        return out
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-_as_tensor(other))
+        return Tensor(-self.data, parents=(self,), backward_fn=bw)
 
     def __rsub__(self, other) -> "Tensor":
         return _as_tensor(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
         other = _as_tensor(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
 
         def bw(g):
             self._accumulate(g * other.data)
             other._accumulate(g * self.data)
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor(self.data * other.data, parents=(self, other), backward_fn=bw)
 
     __rmul__ = __mul__
 
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, shape) -> "Tensor":
-        out = Tensor(self.data.reshape(shape), parents=(self,))
-
         def bw(g):
             self._accumulate(g.reshape(self.data.shape))
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor(self.data.reshape(shape), parents=(self,), backward_fn=bw)
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
         inverse = tuple(np.argsort(axes))
-        out = Tensor(self.data.transpose(axes), parents=(self,))
 
         def bw(g):
             self._accumulate(g.transpose(inverse))
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor(self.data.transpose(axes), parents=(self,), backward_fn=bw)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
-
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape))
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
+                      parents=(self,), backward_fn=bw)
 
     # -- elementwise nonlinearities ------------------------------------------
 
     def sigmoid(self) -> "Tensor":
         y = _sigmoid(self.data)
-        out = Tensor(y, parents=(self,))
 
         def bw(g):
             self._accumulate(g * y * (1.0 - y))
-        out._backward_fn = bw if out.requires_grad else None
-        return out
+        return Tensor(y, parents=(self,), backward_fn=bw)
 
     def gelu(self) -> "Tensor":
         """Tanh-form GELU approximation."""
@@ -194,19 +179,12 @@ class Tensor:
         x_sq = x * x
         inner = c * (x + 0.044715 * x_sq * x)
         t = np.tanh(inner)
-        out = Tensor(0.5 * x * (1.0 + t), parents=(self,))
 
         def bw(g):
             d_inner = c * (1.0 + 3 * 0.044715 * x_sq)
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
             self._accumulate(g * local)
-        out._backward_fn = bw if out.requires_grad else None
-        return out
-
-    # -- backward -----------------------------------------------------------
-
-    def backward(self) -> None:
-        backward(self)
+        return Tensor(0.5 * x * (1.0 + t), parents=(self,), backward_fn=bw)
 
 
 def _as_tensor(value) -> Tensor:
@@ -231,13 +209,11 @@ def matmul(a: Tensor, b) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
 
     def bw(g):
         a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
         b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward_fn=bw)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -246,39 +222,33 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= weight.data.shape[0]):
         raise IndexError(
             f"id out of range for table of {weight.data.shape[0]} rows")
-    out = Tensor(weight.data[ids], parents=(weight,))
 
     def bw(g):
         gw = np.zeros_like(weight.data)
         np.add.at(gw, ids, g)
         weight._accumulate(gw)
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(weight.data[ids], parents=(weight,), backward_fn=bw)
 
 
 def gather_rows(x: Tensor, index0: np.ndarray, index1: np.ndarray) -> Tensor:
     """Select rows x[index0[t], index1[t]] from a stacked [B, n, ...] tensor."""
     index0 = np.asarray(index0)
     index1 = np.asarray(index1)
-    out = Tensor(x.data[index0, index1], parents=(x,))
 
     def bw(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, (index0, index1), g)
         x._accumulate(gx)
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(x.data[index0, index1], parents=(x,), backward_fn=bw)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
     s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, parents=(x,))
 
     def bw(g):
         x._accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(s, parents=(x,), backward_fn=bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -287,7 +257,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     x_hat = centered * inv
-    out = Tensor(x_hat * gain.data + bias.data, parents=(x, gain, bias))
     reduce_axes = tuple(range(x.data.ndim - 1))
 
     def bw(g):
@@ -296,8 +265,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gh = g * gain.data
         x._accumulate(inv * (gh - gh.mean(axis=-1, keepdims=True)
                              - x_hat * (gh * x_hat).mean(axis=-1, keepdims=True)))
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(x_hat * gain.data + bias.data, parents=(x, gain, bias),
+                  backward_fn=bw)
 
 
 def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -310,14 +279,13 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     mx = x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(x - mx).sum(axis=1)) + mx[:, 0]
     losses = lse - x[rows, targets]
-    out = Tensor(np.asarray(losses.sum(), dtype=x.dtype), parents=(logits,))
 
     def bw(g):
         probs = np.exp(x - lse[:, None])
         probs[rows, targets] -= 1.0
         logits._accumulate(probs * float(g))
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(np.asarray(losses.sum(), dtype=x.dtype), parents=(logits,),
+                  backward_fn=bw)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
@@ -328,12 +296,11 @@ def binary_cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
             f"labels shape {z.shape} != logits shape {logits.data.shape}")
     x = logits.data
     losses = np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
-    out = Tensor(np.asarray(losses.sum(), dtype=x.dtype), parents=(logits,))
 
     def bw(g):
         logits._accumulate(float(g) * (_sigmoid(x) - z))
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(np.asarray(losses.sum(), dtype=x.dtype), parents=(logits,),
+                  backward_fn=bw)
 
 
 def backward(loss: Tensor) -> None:

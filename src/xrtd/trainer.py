@@ -67,11 +67,8 @@ def lr_at(step: int, config: OptimConfig) -> float:
 
 def _decays(name: str) -> bool:
     """Decoupled weight decay applies to weight matrices only."""
-    base = name.split(".")[-1]
-    if base in ("mlm_bias", "rtd_b", "b", "g", "bq", "bk", "bv", "bo",
-                "b1", "b2", "gate_w", "d_table", "gate_u", "gate_v"):
-        return False
-    return ".ln" not in name and "final_ln" not in name
+    return name.split(".")[-1] in {"embed", "wq", "wk", "wv", "wo", "w1", "w2",
+                                   "rtd_w"}
 
 
 class Adam:
@@ -168,15 +165,13 @@ def _draw_batches(mono, pair, budget: int, mask_ratio: float,
 
 
 def draw_mono_batch(pools, probs, langs, budget, rng, mask_ratio):
-    seqs, languages = draw_batch(pools, probs, langs, budget, rng)
-    return build_masked_batch(seqs, languages, mask_ratio, rng)
+    seqs, _ = draw_batch(pools, probs, langs, budget, rng)
+    return build_masked_batch(seqs, mask_ratio, rng)
 
 
-def draw_pair_batch(pools, probs, langs, budget, rng, mask_ratio):
-    items, languages = draw_batch(pools, probs, langs, budget, rng)
-    seqs = [ids for ids, _ in items]
-    bounds = [b for _, b in items]
-    return build_masked_batch(seqs, languages, mask_ratio, rng, boundaries=bounds)
+# the same draw under a second name, so that a wrapper around the module
+# attributes can tell a step's first (mono) draw from its pair draw
+draw_pair_batch = draw_mono_batch
 
 
 def save_checkpoint(path: str, models: ModelPair, optimizer: Adam,
@@ -298,8 +293,7 @@ def train(models: ModelPair, corpus: Corpus, optim_cfg: OptimConfig,
             mono_batch, pair_batch = _draw_batches(
                 mono, pair, settings.token_budget, settings.mask_ratio, rng)
             total, report = joint_loss(mono_batch, pair_batch, models,
-                                       optim_cfg.lam, rng,
-                                       use_trtd=settings.use_trtd)
+                                       optim_cfg.lam, rng)
             zero_grads(named.values())
             backward(total)
             lr = lr_at(step + 1, optim_cfg)
@@ -345,8 +339,7 @@ def heldout_disc_accuracy(models: ModelPair, corpus: Corpus, seed: int,
     for _ in range(n_batches):
         mono_batch, pair_batch = _draw_batches(mono, pair, token_budget,
                                                mask_ratio, rng)
-        _, report = joint_loss(mono_batch, pair_batch, models, 1.0, rng,
-                               use_trtd=use_trtd)
+        _, report = joint_loss(mono_batch, pair_batch, models, 1.0, rng)
         # weight each batch by one; accuracy already position-weighted inside
         correct += report["disc_accuracy"]
     return correct / n_batches

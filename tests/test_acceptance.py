@@ -134,21 +134,17 @@ def test_criterion_5_corruption_contract():
     for _ in range(10_000):
         vocab = int(rng.integers(8, 40))
         n_seqs = int(rng.integers(1, 4))
-        seqs, bounds = [], []
+        seqs = []
         paired = rng.random() < 0.5
         for _ in range(n_seqs):
             if paired:
                 e = list(rng.integers(5, vocab, size=int(rng.integers(2, 6))))
                 f = list(rng.integers(5, vocab, size=int(rng.integers(2, 6))))
-                ids, bound = wrap_pair(e, f)
-                seqs.append(ids)
-                bounds.append(bound)
+                seqs.append(wrap_pair(e, f))
             else:
                 seqs.append(wrap_mono(
                     list(rng.integers(5, vocab, size=int(rng.integers(2, 8))))))
-        batch = build_masked_batch(seqs, ["xx"] * n_seqs,
-                                   float(rng.uniform(0.1, 0.5)), rng,
-                                   boundaries=bounds if paired else None)
+        batch = build_masked_batch(seqs, float(rng.uniform(0.1, 0.5)), rng)
         n_masked = sum(len(p) for p in batch.mask_positions)
         logits = rng.normal(size=(n_masked, vocab))
         corrupt = sample_corruption(batch, logits, rng)
@@ -179,15 +175,13 @@ def test_criterion_6_loss_baselines_at_init():
     models = cli._model_pair(config, vocab)
     rng = np.random.default_rng(1)
     mono_seqs = [wrap_mono(s) for s in corpus.mono["en"][:24]]
-    mono = build_masked_batch(mono_seqs, ["en"] * len(mono_seqs), 0.3, rng)
+    mono = build_masked_batch(mono_seqs, 0.3, rng)
     mlm_loss, logits = generator_loss_mlm(mono, models.generator)
     n_masked = sum(len(p) for p in mono.mask_positions)
     mlm_per_token = mlm_loss.item() / n_masked
 
-    pair_items = [wrap_pair(e, f) for e, f in corpus.parallel["pv"][:12]]
-    pair = build_masked_batch([ids for ids, _ in pair_items],
-                              ["pv"] * len(pair_items), 0.3, rng,
-                              boundaries=[b for _, b in pair_items])
+    pair = build_masked_batch(
+        [wrap_pair(e, f) for e, f in corpus.parallel["pv"][:12]], 0.3, rng)
     tlm_loss, _ = generator_loss_tlm(pair, models.generator)
     tlm_per_token = tlm_loss.item() / sum(len(p) for p in pair.mask_positions)
 

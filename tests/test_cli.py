@@ -145,21 +145,38 @@ class TestPretrainEval:
             tail = list(csv.reader(fh))[1:]
         assert tail == full[3:]
 
-    @pytest.mark.parametrize("section, key, value",
-                             [("optim", "lr_peak", 1e-3), (None, "seed", 2)],
-                             ids=["optim", "seed"])
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("optim", "lr_peak", 1e-3, "optim.lr_peak"),
+        (None, "seed", 2, "seed"),
+        ("data", "mask_ratio", 0.15, "data.mask_ratio"),
+        ("data", "token_budget", 32, "data.token_budget"),
+        (None, None, None, "--no-trtd"),
+    ], ids=["optim", "seed", "mask_ratio", "token_budget", "no_trtd"])
     def test_resume_refuses_changed_run(self, run_dir, tmp_path, capsys,
-                                        section, key, value):
+                                        section, key, value, named):
         _, _, out = run_dir
         overrides = json.loads(json.dumps(TINY_OVERRIDES))
-        (overrides[section] if section else overrides)[key] = value
+        if key is not None:
+            (overrides[section] if section else overrides)[key] = value
         cfg = write_config(tmp_path, overrides, "changed.json")
+        flags = ["--no-trtd"] if named == "--no-trtd" else []
         code = main(["pretrain", "--config", cfg, "--out",
-                     str(tmp_path / "resumed"), "--resume", str(out / "ckpt_3")])
+                     str(tmp_path / "resumed"), "--resume", str(out / "ckpt_3"),
+                     *flags])
         assert code == 2
         err = capsys.readouterr().err.strip()
         assert err.count("\n") == 0
-        assert err.startswith("error code=ConfigError msg=") and key in err
+        assert err.startswith("error code=ConfigError msg=") and named in err
+
+    def test_resume_accepts_changed_checkpoint_every(self, run_dir, tmp_path):
+        _, _, out = run_dir
+        overrides = json.loads(json.dumps(TINY_OVERRIDES))
+        overrides["data"]["checkpoint_every"] = 2
+        cfg = write_config(tmp_path, overrides, "changed.json")
+        resumed = tmp_path / "resumed"
+        assert main(["pretrain", "--config", cfg, "--out", str(resumed),
+                     "--resume", str(out / "ckpt_3")]) == 0
+        assert (resumed / "ckpt_4").is_dir()
 
     def test_no_trtd_zeroes_pair_losses(self, run_dir, tmp_path):
         base, cfg, _ = run_dir

@@ -27,7 +27,7 @@ def random_mono_batch(rng, vocab_size=100, n_seqs=4, ratio=0.15):
     seqs = [wrap_mono([int(rng.integers(5, vocab_size))
                        for _ in range(int(rng.integers(4, 12)))])
             for _ in range(n_seqs)]
-    return build_masked_batch(seqs, ["x"] * n_seqs, ratio, rng)
+    return build_masked_batch(seqs, ratio, rng)
 
 
 def random_pair_batch(rng, vocab_size=100, n_seqs=4, ratio=0.15):
@@ -36,8 +36,7 @@ def random_pair_batch(rng, vocab_size=100, n_seqs=4, ratio=0.15):
                          [int(rng.integers(5, vocab_size))
                           for _ in range(int(rng.integers(4, 9)))])
                for _ in range(n_seqs)]
-    return build_masked_batch([w[0] for w in wrapped], ["y"] * n_seqs, ratio,
-                              rng, boundaries=[w[1] for w in wrapped])
+    return build_masked_batch(wrapped, ratio, rng)
 
 
 class TestMaskSelection:
@@ -88,8 +87,8 @@ class TestMaskSelection:
         for _ in range(20):
             batch = random_pair_batch(rng)
             for b, pos in enumerate(batch.mask_positions):
-                boundary = batch.segment_boundary[b]
-                assert np.any(pos < boundary) and np.any(pos >= boundary)
+                f_start = list(batch.original[b]).index(SEP) + 1
+                assert np.any(pos < f_start) and np.any(pos >= f_start)
 
 
 class TestGeneratorLosses:
@@ -105,7 +104,7 @@ class TestGeneratorLosses:
         models = tiny_pair(vocab_size=30)
         ids = wrap_mono([7, 9, 11, 13])
         batch = MaskedBatch(np.array([ids]), np.array([ids]),
-                            [np.array([2])], ["x"])
+                            [np.array([2])])
         batch.masked[0, 2] = MASK
         loss, logits = generator_loss_mlm(batch, models.generator)
         states = encode(batch.masked, models.generator)
@@ -120,10 +119,10 @@ class TestGeneratorLosses:
         ids = np.array([wrap_mono([6, 7, 8, 9])])
         masked = ids.copy()
         masked[0, 2] = MASK
-        a = MaskedBatch(ids.copy(), masked, [np.array([2])], ["x"])
+        a = MaskedBatch(ids.copy(), masked, [np.array([2])])
         altered = ids.copy()
         altered[0, 3] = 42   # non-masked target changes, input stays masked
-        b = MaskedBatch(altered, masked, [np.array([2])], ["x"])
+        b = MaskedBatch(altered, masked, [np.array([2])])
         la, _ = generator_loss_mlm(a, models.generator)
         lb, _ = generator_loss_mlm(b, models.generator)
         assert la.item() == lb.item()
@@ -140,12 +139,11 @@ class TestGeneratorLosses:
 
     def test_tlm_two_masks_match_manual_log_softmax_sums(self):
         models = tiny_pair(vocab_size=40)
-        ids, boundary = wrap_pair([10, 11, 12], [20, 21, 22])
-        positions = np.array([2, boundary + 1])
+        ids = wrap_pair([10, 11, 12], [20, 21, 22])
+        positions = np.array([2, ids.index(SEP) + 2])
         masked = np.array([ids])
         masked[0, positions] = MASK
-        batch = MaskedBatch(np.array([ids]), masked, [positions], ["y"],
-                            segment_boundary=[boundary])
+        batch = MaskedBatch(np.array([ids]), masked, [positions])
         loss, _ = generator_loss_tlm(batch, models.generator)
         states = encode(masked, models.generator)
         expected = 0.0
@@ -203,8 +201,7 @@ class TestCorruptionSampling:
         masked = original.copy()
         masked[:, 1] = MASK
         batch = MaskedBatch(original, masked,
-                            [np.array([1]) for _ in range(n_seqs)],
-                            ["x"] * n_seqs)
+                            [np.array([1]) for _ in range(n_seqs)])
         logits = np.tile(row, (n_seqs, 1))
         counts = np.zeros(4)
         for _ in range(n_calls):
@@ -246,8 +243,7 @@ class TestDiscriminatorLoss:
         rng = np.random.default_rng(17)
         batch = random_mono_batch(rng)
         clean = CorruptedBatch(batch.original, batch.original.copy(),
-                               np.zeros_like(batch.original), [],
-                               batch.languages, batch.mask_positions)
+                               np.zeros_like(batch.original))
         loss, acc, _ = discriminator_loss_rtd(clean, models.discriminator)
         assert loss.item() < 1e-6
         assert acc == 1.0
@@ -259,8 +255,7 @@ class TestDiscriminatorLoss:
         corrupt_ids[0, 2] = 15
         labels = np.zeros_like(ids)
         labels[0, 2] = 1
-        corrupt = CorruptedBatch(ids, corrupt_ids, labels, [(0, 2, 15)],
-                                 ["x"], [np.array([2])])
+        corrupt = CorruptedBatch(ids, corrupt_ids, labels)
         loss, _, count = discriminator_loss_rtd(corrupt, models.discriminator)
         assert count == 5
         from xrtd.model import rtd_logits
@@ -314,12 +309,10 @@ class TestJointLoss:
         models = tiny_pair()
         mono, _, _ = self.make_batches(23)
         total, r = joint_loss(mono, None, models, 50.0,
-                              np.random.default_rng(3), use_trtd=False)
+                              np.random.default_rng(3))
         assert r["tlm"] == 0.0 and r["trtd"] == 0.0
         assert total.item() == pytest.approx(r["mlm"] + 50.0 * r["mrtd"],
                                              rel=1e-9)
-        with pytest.raises(ValueError):
-            joint_loss(mono, None, models, 50.0, np.random.default_rng(3))
 
     def test_gradient_firewall(self):
         # discriminator loss alone must not reach generator-only weights
@@ -361,8 +354,8 @@ class TestMemorization:
         losses = []
         for step in range(500):
             idx = rng.choice(100, size=16, replace=False)
-            batch = build_masked_batch([sentences[i] for i in idx],
-                                       ["en"] * 16, 0.15, rng)
+            batch = build_masked_batch([sentences[i] for i in idx], 0.15,
+                                       rng)
             zero_grads(gen.tensors.values())
             loss, _ = generator_loss_mlm(batch, gen)
             backward(loss)

@@ -182,6 +182,47 @@ class TestBackward:
         assert np.array_equal(grad1, grad2)
 
 
+# every op that records a tape node, with the shapes of its tensor inputs
+TAPE_OPS = {
+    "add": (lambda a, b: a + b, [(2, 3), (2, 3)]),
+    "neg": (lambda a: -a, [(2, 3)]),
+    "mul": (lambda a, b: a * b, [(2, 3), (2, 3)]),
+    "reshape": (lambda a: a.reshape((3, 2)), [(2, 3)]),
+    "transpose": (lambda a: a.transpose((1, 0)), [(2, 3)]),
+    "sum": (lambda a: a.sum(axis=0), [(2, 3)]),
+    "sigmoid": (lambda a: a.sigmoid(), [(2, 3)]),
+    "gelu": (lambda a: a.gelu(), [(2, 3)]),
+    "matmul": (matmul, [(2, 3), (3, 2)]),
+    "embedding": (lambda w: embedding(w, np.array([0, 1, 1])), [(2, 3)]),
+    "gather_rows": (lambda x: gather_rows(x, np.array([0, 1]), np.array([2, 0])),
+                    [(2, 3, 4)]),
+    "softmax": (softmax, [(2, 3)]),
+    "layer_norm": (layer_norm, [(2, 3), (3,), (3,)]),
+    "softmax_cross_entropy": (lambda x: softmax_cross_entropy(x, [0, 2]),
+                              [(2, 3)]),
+    "binary_cross_entropy_with_logits": (
+        lambda x: binary_cross_entropy_with_logits(x, np.zeros((2, 3))),
+        [(2, 3)]),
+}
+
+
+class TestTape:
+    @pytest.mark.parametrize("name", list(TAPE_OPS))
+    def test_only_trainable_results_join_the_tape(self, name):
+        op, shapes = TAPE_OPS[name]
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        out = op(*[Tensor(a) for a in arrays])
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+        inputs = [Tensor(arrays[0], requires_grad=True),
+                  *[Tensor(a) for a in arrays[1:]]]
+        out = op(*inputs)
+        assert out.requires_grad
+        assert any(p is inputs[0] for p in out._parents)
+        assert callable(out._backward_fn)
+
+
 class TestCompositeGradients:
     """Finite-difference property over composites of supported ops."""
 
@@ -251,6 +292,12 @@ class TestDtypeSwitch:
         assert Tensor([0, 0]).dtype == np.float32
         with using_dtype(np.float64):
             assert Tensor([1, 2]).dtype == np.float64
+        assert Tensor([1, 2]).dtype == np.float32
+
+    def test_unsupported_dtype_rejected(self):
+        with pytest.raises(ValueError, match="unsupported"):
+            with using_dtype(np.float16):
+                pass
         assert Tensor([1, 2]).dtype == np.float32
 
     def test_explicit_float64_preserved(self):

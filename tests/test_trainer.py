@@ -272,7 +272,7 @@ class TestTrainLoop:
         models = small_models(len(corpus.vocab))
         counter = {"n": 0}
 
-        def exploding_loss(mono, pair, models_, lam, rng, use_trtd=True):
+        def exploding_loss(mono, pair, models_, lam, rng):
             counter["n"] += 1
             value = 1.0 if counter["n"] == 1 else 100.0
             report = {"mlm": value, "tlm": 0.0, "mrtd": 0.0, "trtd": 0.0,
