@@ -1,6 +1,7 @@
 """Cross-lingual evaluation: sentence retrieval, word alignment, AER.
 
-Every layer is swept from one encode of each held-out sentence. Sentence
+Every layer is swept from one encode of each held-out sentence, run under
+`tensor.no_grad` because nothing here takes a gradient. Sentence
 retrieval encodes each side as one PAD-padded batch, mean-pools the content
 tokens of every layer and ranks targets by cosine similarity. Word alignment
 encodes each sentence alone, unpadded, then runs entropic-regularized optimal
@@ -17,6 +18,7 @@ import numpy as np
 
 from .model import ModelParams, encode
 from .objectives import PAD, SPECIAL_IDS
+from .tensor import no_grad
 
 Pair = Tuple[int, int]
 
@@ -55,8 +57,10 @@ def pooled_layers(seqs: List[List[int]], params: ModelParams) -> List[np.ndarray
     empty = np.flatnonzero(~content.any(axis=1))
     if empty.size:
         raise ValueError(f"sentence {empty[0]} has no content tokens")
+    with no_grad():
+        encoded = encode(ids, params)
     layers = []
-    for states in encode(ids, params):
+    for states in encoded:
         out = np.zeros((len(seqs), states.shape[-1]), dtype=np.float64)
         for i in range(len(seqs)):
             out[i] = states.data[i, content[i]].mean(axis=0)
@@ -145,7 +149,8 @@ def layer_sweep_retrieval(params: ModelParams, source: List[List[int]],
 def _content_states(ids: Sequence[int], params: ModelParams) -> List[np.ndarray]:
     """Per layer, the states of one sentence's content tokens (one encode)."""
     keep = [p for p, t in enumerate(ids) if t not in SPECIAL_IDS]
-    states = encode(np.asarray([list(ids)], dtype=np.int64), params)
+    with no_grad():
+        states = encode(np.asarray([list(ids)], dtype=np.int64), params)
     return [s.data[0][keep].astype(np.float64) for s in states]
 
 

@@ -3,8 +3,9 @@
 All randomness flows from the single config seed. `DEFAULT_CONFIG` is the
 only source of default values: the config classes of the other modules take
 every value from it. Every command writes a fully merged copy of its
-configuration into the output directory, and exits nonzero with a
-single-line machine-parseable error on contract violations.
+configuration into the output directory once its inputs pass validation,
+and exits nonzero with a single-line machine-parseable error on contract
+violations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import align
-from .corpus import (Corpus, LanguageSpec, ToyGrammar,
+from .corpus import (Corpus, LanguageSpec, ToyGrammar, Vocab, build_vocab,
                      gold_alignment, synth_corpus, save_corpus_files,
                      transform_sentence)
 from .gradcheck import check_joint_gradients
@@ -135,8 +136,8 @@ def _model_pair(config: Dict, vocab_size: int):
 
 def cmd_synth(args) -> int:
     config = load_config(args.config)
-    _write_config_copy(config, args.out)
     corpus = _build_corpus(config)
+    _write_config_copy(config, args.out)
     written = save_corpus_files(corpus, args.out)
     for path in written:
         print(path)
@@ -145,7 +146,6 @@ def cmd_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     config = load_config(args.config)
-    _write_config_copy(config, args.out)
     data = config["data"]
     optim_cfg = OptimConfig(**config["optim"])
     settings = RunSettings(token_budget=data["token_budget"],
@@ -154,6 +154,7 @@ def cmd_pretrain(args) -> int:
                            checkpoint_every=data["checkpoint_every"],
                            alpha=data["alpha"])
     corpus = _build_corpus(config)
+    resume = None
     if args.resume:
         models, optimizer, rng, step, meta = load_checkpoint(args.resume)
         # the checkpoint's Adam settings, rng and batches continue the run, so
@@ -171,44 +172,43 @@ def cmd_pretrain(args) -> int:
         if changed:
             raise ConfigError(f"config differs from checkpoint {args.resume} "
                               f"in {', '.join(changed)}")
-        result = train(models, corpus, optim_cfg, args.out,
-                       seed=config["seed"], settings=settings,
-                       resume=(optimizer, rng, step))
+        resume = (optimizer, rng, step)
     else:
         models = _model_pair(config, len(corpus.vocab))
-        result = train(models, corpus, optim_cfg, args.out,
-                       seed=config["seed"], settings=settings)
+    _write_config_copy(config, args.out)
+    result = train(models, corpus, optim_cfg, args.out, seed=config["seed"],
+                   settings=settings, resume=resume)
     print(result.final_checkpoint)
     print(result.metrics_path)
     return 0
 
 
-def _heldout_pairs(config: Dict, corpus: Corpus, lang: str, n_pairs: int):
+def _heldout_pairs(config: Dict, spec: LanguageSpec, vocab: Vocab, n_pairs: int):
     """Fresh parallel sentences (never batched for training) for one language."""
     rng = np.random.default_rng(config["seed"] + 7777)
     grammar = ToyGrammar()
-    spec = next(s for s in corpus.specs if s.lang == lang)
     pairs = []
     for _ in range(n_pairs):
         base = grammar.sample_sentence(rng)
-        pairs.append((corpus.vocab.encode(base),
-                      corpus.vocab.encode(transform_sentence(base, spec, grammar))))
+        pairs.append((vocab.encode(base),
+                      vocab.encode(transform_sentence(base, spec, grammar))))
     return pairs
 
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
-    _write_config_copy(config, args.out)
     models, _, _, _, _ = load_checkpoint(args.checkpoint)
-    corpus = _build_corpus(config)
+    specs = _specs(config)
+    vocab = build_vocab(specs)
+    _write_config_copy(config, args.out)
     disc = models.discriminator
     ev = config["eval"]
 
     retrieval_rows, sweep_rows, aer_rows = [], [], []
-    for spec in corpus.specs:
+    for spec in specs:
         if spec.kind == "base":
             continue
-        pairs = _heldout_pairs(config, corpus, spec.lang, ev["n_pairs"])
+        pairs = _heldout_pairs(config, spec, vocab, ev["n_pairs"])
         src = [wrap_mono(e) for e, _ in pairs]
         tgt = [wrap_mono(f) for _, f in pairs]
         sweep = align.layer_sweep_retrieval(disc, src, tgt)

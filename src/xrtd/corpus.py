@@ -162,10 +162,15 @@ def token_map(spec: LanguageSpec, grammar: ToyGrammar) -> Dict[str, str]:
     return {**keep, **{w: f"{spec.lang}:{w}~ka" for w in grammar.words}}  # affix
 
 
+def _apply_map(sentence: List[str], mapping: Dict[str, str],
+               spec: LanguageSpec) -> List[str]:
+    mapped = [mapping[w] for w in sentence]
+    return mapped[::-1] if spec.kind == "reversed" else mapped
+
+
 def transform_sentence(sentence: List[str], spec: LanguageSpec,
                        grammar: ToyGrammar) -> List[str]:
-    mapped = [token_map(spec, grammar)[w] for w in sentence]
-    return mapped[::-1] if spec.kind == "reversed" else mapped
+    return _apply_map(sentence, token_map(spec, grammar), spec)
 
 
 def invert_sentence(sentence: List[str], spec: LanguageSpec,
@@ -196,6 +201,13 @@ class Corpus:
 
 def build_vocab(specs: Sequence[LanguageSpec],
                 grammar: ToyGrammar | None = None) -> Vocab:
+    """Anchors, then each language's surface of every content word.
+
+    Every parallel pair encodes a base-language sentence, so the language set
+    must hold exactly one base language and at least one other.
+    """
+    if len(specs) < 2 or sum(s.kind == "base" for s in specs) != 1:
+        raise ValueError("need >=2 languages with exactly one base language")
     grammar = grammar or ToyGrammar()
     tokens: List[str] = list(grammar.anchors)
     for spec in specs:
@@ -216,9 +228,6 @@ def synth_corpus(specs: Sequence[LanguageSpec], n_sentences: int,
     pair objectives bind the languages' representations together.
     """
     specs = list(specs)
-    base_specs = [s for s in specs if s.kind == "base"]
-    if len(specs) < 2 or len(base_specs) != 1:
-        raise ValueError("need >=2 languages with exactly one base language")
     grammar = grammar or ToyGrammar()
     vocab = build_vocab(specs, grammar)
 
@@ -226,7 +235,8 @@ def synth_corpus(specs: Sequence[LanguageSpec], n_sentences: int,
     mono: Dict[str, List[List[int]]] = {}
     parallel: Dict[str, List[Tuple[List[int], List[int]]]] = {}
     for spec in specs:
-        transformed = [vocab.encode(transform_sentence(s, spec, grammar))
+        mapping = token_map(spec, grammar)
+        transformed = [vocab.encode(_apply_map(s, mapping, spec))
                        for s in sentences]
         mono[spec.lang] = transformed
         if spec.kind != "base":

@@ -10,7 +10,7 @@ it, while NumPy 1.x, with value-based casting, keeps float32. So under NumPy 2
 the attention score scale and the gated bias's `1.0 - g_up` make every encoder
 layer after the embedding compute in float64. ROADMAP item 2 holds the fix.
 Gradient checking switches the default element type to float64 via
-`using_dtype`.
+`using_dtype`. Inference runs under `no_grad`, where results join no tape.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
+_GRAD_ENABLED = True
 
 
 class DimensionError(ValueError):
@@ -50,6 +51,21 @@ def using_dtype(dtype):
         _DEFAULT_DTYPE = previous
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside: results record no parents and no backward function.
+
+    Forward values are computed exactly as with the tape; only the closures
+    and the references that keep intermediate arrays alive are dropped.
+    """
+    global _GRAD_ENABLED
+    previous, _GRAD_ENABLED = _GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -70,7 +86,8 @@ class Tensor:
     them) receive gradients; plain constants never allocate grad buffers.
     Every op builds its result here with its inputs as `parents` and its
     gradient closure as `backward_fn`; the constructor keeps both only when
-    some parent requires grad, so this is the one place a node joins the tape.
+    some parent requires grad and no `no_grad` context is active, so this is
+    the one place a node joins the tape.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -82,7 +99,8 @@ class Tensor:
             arr = arr.astype(_DEFAULT_DTYPE)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (
+            _GRAD_ENABLED and any(p.requires_grad for p in parents))
         self._parents = parents if self.requires_grad else ()
         self._backward_fn = backward_fn if self.requires_grad else None
 

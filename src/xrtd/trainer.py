@@ -22,7 +22,7 @@ from . import serialize
 from .corpus import Corpus, CorpusStats, draw_batch, language_sampling_probs
 from .model import ModelConfig, ModelPair, init_model_pair
 from .objectives import build_masked_batch, joint_loss, wrap_mono, wrap_pair
-from .tensor import Tensor, backward, zero_grads
+from .tensor import Tensor, backward, no_grad, zero_grads
 
 METRICS_COLUMNS = ["step", "loss_mlm", "loss_tlm", "loss_mrtd", "loss_trtd",
                    "disc_accuracy", "lr", "loss_total"]
@@ -339,7 +339,8 @@ def heldout_disc_accuracy(models: ModelPair, corpus: Corpus, seed: int,
     for _ in range(n_batches):
         mono_batch, pair_batch = _draw_batches(mono, pair, token_budget,
                                                mask_ratio, rng)
-        _, report = joint_loss(mono_batch, pair_batch, models, 1.0, rng)
+        with no_grad():
+            _, report = joint_loss(mono_batch, pair_batch, models, 1.0, rng)
         # weight each batch by one; accuracy already position-weighted inside
         correct += report["disc_accuracy"]
     return correct / n_batches

@@ -167,6 +167,14 @@ class TestPretrainEval:
         err = capsys.readouterr().err.strip()
         assert err.count("\n") == 0
         assert err.startswith("error code=ConfigError msg=") and named in err
+        # a refused run leaves no config copy and keeps an existing one
+        assert not (tmp_path / "resumed" / "run_config.json").exists()
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        (existing / "run_config.json").write_bytes(b"earlier run")
+        assert main(["pretrain", "--config", cfg, "--out", str(existing),
+                     "--resume", str(out / "ckpt_3"), *flags]) == 2
+        assert (existing / "run_config.json").read_bytes() == b"earlier run"
 
     def test_resume_accepts_changed_checkpoint_every(self, run_dir, tmp_path):
         _, _, out = run_dir
@@ -225,3 +233,17 @@ class TestPretrainEval:
         aligned = min(n_pairs, ALIGNED_PAIRS)
         assert len(calls) == 2 + 2 * aligned   # one non-base language
         assert calls[:2] == [n_pairs, n_pairs]
+
+    def test_eval_encodes_without_a_tape(self, run_dir, tmp_path, monkeypatch):
+        _, cfg, out = run_dir
+        states = []
+        encode = align.encode
+
+        def recording(ids, params):
+            result = encode(ids, params)
+            states.extend(result)
+            return result
+        monkeypatch.setattr(align, "encode", recording)
+        assert main(["eval", "--config", cfg, "--checkpoint",
+                     str(out / "ckpt_final"), "--out", str(tmp_path / "e")]) == 0
+        assert states and not any(s.requires_grad for s in states)

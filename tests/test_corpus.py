@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from xrtd import corpus as corpus_module
 from xrtd.corpus import (RESERVED_TOKENS, Corpus, CorpusStats, LanguageSpec,
                          ToyGrammar, Vocab, build_vocab, draw_batch,
                          gold_alignment, invert_sentence,
@@ -137,12 +140,38 @@ class TestSynthCorpus:
         return specs, synth_corpus(specs, n, np.random.default_rng(seed))
 
     def test_requires_one_base(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            synth_corpus([LanguageSpec("en", "base", 0)], 5, rng)
-        with pytest.raises(ValueError):
-            synth_corpus([LanguageSpec("a", "permuted", 0),
-                          LanguageSpec("b", "reversed", 1)], 5, rng)
+        # eval builds only the vocabulary, so build_vocab checks it too
+        for build in (lambda specs: synth_corpus(specs, 5, np.random.default_rng(0)),
+                      build_vocab):
+            with pytest.raises(ValueError):
+                build([LanguageSpec("en", "base", 0)])
+            with pytest.raises(ValueError):
+                build([LanguageSpec("a", "permuted", 0),
+                       LanguageSpec("b", "reversed", 1)])
+
+    def test_builds_each_token_map_once_per_language(self, monkeypatch):
+        # one call from build_vocab and one from synthesis, not one per word
+        calls = Counter()
+        original = corpus_module.token_map
+
+        def counting(spec, grammar):
+            calls[spec.lang] += 1
+            return original(spec, grammar)
+        monkeypatch.setattr(corpus_module, "token_map", counting)
+        self.make(n=300)
+        assert calls == {"en": 2, "pv": 2, "rv": 2}
+
+    def test_mono_sentences_are_transformed_base_sentences(self):
+        specs = [LanguageSpec("en", "base", 0), LanguageSpec("pv", "permuted", 1),
+                 LanguageSpec("rv", "reversed", 2), LanguageSpec("ax", "affix", 3)]
+        corpus = synth_corpus(specs, 50, np.random.default_rng(4))
+        grammar = ToyGrammar()
+        rng = np.random.default_rng(4)
+        bases = [grammar.sample_sentence(rng) for _ in range(50)]
+        for spec in specs:
+            assert corpus.mono[spec.lang] == [
+                corpus.vocab.encode(transform_sentence(b, spec, grammar))
+                for b in bases]
 
     def test_counts_and_pools(self):
         specs, corpus = self.make(n=40)

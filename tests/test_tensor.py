@@ -5,7 +5,7 @@ import pytest
 
 from xrtd.tensor import (DimensionError, GradError, Tensor, backward,
                          binary_cross_entropy_with_logits, embedding,
-                         gather_rows, layer_norm, matmul, softmax,
+                         gather_rows, layer_norm, matmul, no_grad, softmax,
                          softmax_cross_entropy, using_dtype, zero_grads)
 
 
@@ -221,6 +221,45 @@ class TestTape:
         assert out.requires_grad
         assert any(p is inputs[0] for p in out._parents)
         assert callable(out._backward_fn)
+        with no_grad():
+            untaped = op(*inputs)
+        assert not untaped.requires_grad
+        assert untaped._parents == () and untaped._backward_fn is None
+        assert np.array_equal(untaped.data, out.data)
+
+
+class TestNoGrad:
+    def test_flag_restored_after_exception_and_nesting(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError, match="boom"):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert (x * x).requires_grad
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+
+    def test_gradients_after_leaving_are_unchanged(self):
+        rng = np.random.default_rng(3)
+        x_data, w_data = rng.normal(size=(4, 5)), rng.normal(size=(5, 3))
+
+        def grads(inference_between):
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            before = softmax(matmul(x, w).gelu()).sum()
+            if inference_between:
+                with no_grad():
+                    softmax(matmul(x, w).gelu()).sum()
+            backward(before)
+            first = (x.grad.copy(), w.grad.copy())
+            zero_grads([x, w])
+            backward(softmax(matmul(x, w).gelu()).sum())
+            return first + (x.grad, w.grad)
+
+        for plain, after in zip(grads(False), grads(True)):
+            assert np.array_equal(plain, after)
 
 
 class TestCompositeGradients:

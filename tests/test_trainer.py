@@ -327,6 +327,13 @@ class TestCheckpointFiles:
         assert code == 2
         assert err.count("\n") == 1 and tensor in err
         assert err.startswith('error code=ValueError msg="')
+        # a failed eval leaves no config copy and keeps an existing one
+        assert not (tmp_path / "eval" / "run_config.json").exists()
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        (existing / "run_config.json").write_bytes(b"earlier run")
+        assert main(["eval", "--checkpoint", path, "--out", str(existing)]) == 2
+        assert (existing / "run_config.json").read_bytes() == b"earlier run"
 
     def test_failed_save_leaves_no_checkpoint(self, tmp_path, monkeypatch):
         write = serialize.save_arrays
