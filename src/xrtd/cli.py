@@ -5,7 +5,9 @@ only source of default values: the config classes of the other modules take
 every value from it. Every command writes a fully merged copy of its
 configuration into the output directory once its inputs pass validation,
 and exits nonzero with a single-line machine-parseable error on contract
-violations.
+violations. A checkpoint carries its run's merged config, and `pretrain
+--resume` and `eval` refuse a config that differs from it in a key that
+matters to them.
 """
 
 from __future__ import annotations
@@ -16,19 +18,17 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Dict, List
 
 import numpy as np
 
 from . import align
-from .corpus import (Corpus, LanguageSpec, ToyGrammar, Vocab, build_vocab,
-                     gold_alignment, synth_corpus, save_corpus_files,
-                     transform_sentence)
+from .corpus import (Corpus, LanguageSpec, gold_alignment, synth_corpus,
+                     save_corpus_files)
 from .gradcheck import check_joint_gradients
 from .model import ModelConfig, init_model_pair
 from .objectives import wrap_mono
-from .trainer import OptimConfig, RunSettings, load_checkpoint, train
+from .trainer import OptimConfig, load_checkpoint, train
 
 DEFAULT_CONFIG: Dict = {
     "seed": 0,
@@ -76,6 +76,16 @@ DEFAULT_CONFIG: Dict = {
 ALIGNED_PAIRS = 50
 
 
+# Keys in which a config must equal the checkpoint's run record. A resume
+# continues the checkpoint's weights, schedule, rng and batches: only `eval`
+# and `data.checkpoint_every` (where checkpoints go) may change. Eval needs
+# the model and the languages that give the weights and embedding rows meaning.
+RESUME_KEYS = ("seed", *(f"{section}.{key}" for section in ("model", "optim", "data")
+                         for key in DEFAULT_CONFIG[section] if key != "checkpoint_every"),
+               "--no-trtd")
+EVAL_KEYS = (*(f"model.{key}" for key in DEFAULT_CONFIG["model"]), "data.languages")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -109,6 +119,19 @@ def _write_config_copy(config: Dict, out_dir: str) -> None:
         json.dump(config, fh, indent=2, sort_keys=True)
 
 
+def _refuse_changed(checkpoint: str, saved: Dict, current: Dict, keys) -> None:
+    """Raise one ConfigError naming every one of `keys` (dotted paths) in
+    which `current` differs from the checkpoint's `saved` record."""
+    def at(record, key):
+        for part in key.split("."):
+            record = record[part]
+        return record
+    changed = [key for key in keys if at(saved, key) != at(current, key)]
+    if changed:
+        raise ConfigError(f"config differs from checkpoint {checkpoint} "
+                          f"in {', '.join(changed)}")
+
+
 def _specs(config: Dict) -> List[LanguageSpec]:
     return [LanguageSpec(**entry) for entry in config["data"]["languages"]]
 
@@ -120,16 +143,13 @@ def _build_corpus(config: Dict) -> Corpus:
 
 def _model_pair(config: Dict, vocab_size: int):
     m = config["model"]
-    gen_cfg = ModelConfig(num_layers=m["gen_layers"], hidden_size=m["hidden_size"],
-                          num_heads=m["num_heads"], ffn_size=m["ffn_size"],
-                          vocab_size=vocab_size,
-                          max_rel_distance=m["max_rel_distance"],
-                          init_range=m["init_range"], role="generator")
-    disc_cfg = ModelConfig(num_layers=m["disc_layers"], hidden_size=m["hidden_size"],
-                           num_heads=m["num_heads"], ffn_size=m["ffn_size"],
-                           vocab_size=vocab_size,
-                           max_rel_distance=m["max_rel_distance"],
-                           init_range=m["init_range"], role="discriminator")
+    gen_cfg, disc_cfg = (
+        ModelConfig(num_layers=m[layers], hidden_size=m["hidden_size"],
+                    num_heads=m["num_heads"], ffn_size=m["ffn_size"],
+                    vocab_size=vocab_size, max_rel_distance=m["max_rel_distance"],
+                    init_range=m["init_range"], role=role)
+        for layers, role in (("gen_layers", "generator"),
+                             ("disc_layers", "discriminator")))
     return init_model_pair(gen_cfg, disc_cfg, seed=config["seed"],
                            share_embeddings=m["share_embeddings"])
 
@@ -146,69 +166,40 @@ def cmd_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     config = load_config(args.config)
-    data = config["data"]
-    optim_cfg = OptimConfig(**config["optim"])
-    settings = RunSettings(token_budget=data["token_budget"],
-                           mask_ratio=data["mask_ratio"],
-                           use_trtd=not args.no_trtd,
-                           checkpoint_every=data["checkpoint_every"],
-                           alpha=data["alpha"])
     corpus = _build_corpus(config)
-    resume = None
     if args.resume:
-        models, optimizer, rng, step, meta = load_checkpoint(args.resume)
-        # the checkpoint's Adam settings, rng and batches continue the run, so
-        # a schedule, seed or data setting that differs would mix two runs;
-        # checkpoint_every only decides where checkpoints are written
-        changed = [f"optim.{k}" for k, v in asdict(optim_cfg).items()
-                   if getattr(optimizer.config, k) != v]
-        if meta.get("seed") != config["seed"]:
-            changed.append("seed")
-        saved = meta.get("settings", {})
-        changed += [f"data.{k}" for k in ("token_budget", "mask_ratio", "alpha")
-                    if saved.get(k) != getattr(settings, k)]
-        if saved.get("use_trtd") != settings.use_trtd:
-            changed.append("--no-trtd")
-        if changed:
-            raise ConfigError(f"config differs from checkpoint {args.resume} "
-                              f"in {', '.join(changed)}")
+        models, optimizer, rng, step, run = load_checkpoint(args.resume)
+        _refuse_changed(args.resume,
+                        {**run["config"], "--no-trtd": not run["use_trtd"]},
+                        {**config, "--no-trtd": args.no_trtd}, RESUME_KEYS)
         resume = (optimizer, rng, step)
     else:
-        models = _model_pair(config, len(corpus.vocab))
+        OptimConfig(**config["optim"])    # a bad schedule fails before any output
+        models, resume = _model_pair(config, len(corpus.vocab)), None
     _write_config_copy(config, args.out)
-    result = train(models, corpus, optim_cfg, args.out, seed=config["seed"],
-                   settings=settings, resume=resume)
+    result = train(models, corpus, config, args.out, not args.no_trtd, resume)
     print(result.final_checkpoint)
     print(result.metrics_path)
     return 0
 
 
-def _heldout_pairs(config: Dict, spec: LanguageSpec, vocab: Vocab, n_pairs: int):
-    """Fresh parallel sentences (never batched for training) for one language."""
-    rng = np.random.default_rng(config["seed"] + 7777)
-    grammar = ToyGrammar()
-    pairs = []
-    for _ in range(n_pairs):
-        base = grammar.sample_sentence(rng)
-        pairs.append((vocab.encode(base),
-                      vocab.encode(transform_sentence(base, spec, grammar))))
-    return pairs
-
-
 def cmd_eval(args) -> int:
     config = load_config(args.config)
-    models, _, _, _, _ = load_checkpoint(args.checkpoint)
+    models, _, _, _, run = load_checkpoint(args.checkpoint)
+    _refuse_changed(args.checkpoint, run["config"], config, EVAL_KEYS)
     specs = _specs(config)
-    vocab = build_vocab(specs)
+    ev = config["eval"]
+    # fresh parallel sentences, never batched for training
+    heldout = synth_corpus(specs, ev["n_pairs"],
+                           np.random.default_rng(config["seed"] + 7777))
     _write_config_copy(config, args.out)
     disc = models.discriminator
-    ev = config["eval"]
 
     retrieval_rows, sweep_rows, aer_rows = [], [], []
     for spec in specs:
         if spec.kind == "base":
             continue
-        pairs = _heldout_pairs(config, spec, vocab, ev["n_pairs"])
+        pairs = heldout.parallel[spec.lang]
         src = [wrap_mono(e) for e, _ in pairs]
         tgt = [wrap_mono(f) for _, f in pairs]
         sweep = align.layer_sweep_retrieval(disc, src, tgt)
@@ -227,20 +218,16 @@ def cmd_eval(args) -> int:
         for layer, score in aer_sweep:
             aer_rows.append((spec.lang, layer, score))
 
-    with open(os.path.join(args.out, "retrieval.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["language", "direction", "layer", "accuracy_at_1"])
-        writer.writerows(retrieval_rows)
-    with open(os.path.join(args.out, "layer_sweep_retrieval.csv"), "w",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["language", "layer", "accuracy_at_1"])
-        writer.writerows(sweep_rows)
-    with open(os.path.join(args.out, "layer_sweep_aer.csv"), "w",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["language", "layer", "aer"])
-        writer.writerows(aer_rows)
+    for name, header, rows in (
+            ("retrieval.csv", ["language", "direction", "layer", "accuracy_at_1"],
+             retrieval_rows),
+            ("layer_sweep_retrieval.csv", ["language", "layer", "accuracy_at_1"],
+             sweep_rows),
+            ("layer_sweep_aer.csv", ["language", "layer", "aer"], aer_rows)):
+        with open(os.path.join(args.out, name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     for row in retrieval_rows:
         print("retrieval", *row)
     return 0

@@ -45,14 +45,6 @@ class Vocab:
             for tok in self.id_to_token:
                 fh.write(tok + "\n")
 
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        if tokens[:len(RESERVED_TOKENS)] != RESERVED_TOKENS:
-            raise ValueError("vocab file does not start with the reserved tokens")
-        return cls(tokens[len(RESERVED_TOKENS):])
-
 
 @dataclass(frozen=True)
 class LanguageSpec:
@@ -171,13 +163,6 @@ def _apply_map(sentence: List[str], mapping: Dict[str, str],
 def transform_sentence(sentence: List[str], spec: LanguageSpec,
                        grammar: ToyGrammar) -> List[str]:
     return _apply_map(sentence, token_map(spec, grammar), spec)
-
-
-def invert_sentence(sentence: List[str], spec: LanguageSpec,
-                    grammar: ToyGrammar) -> List[str]:
-    inverse = {v: k for k, v in token_map(spec, grammar).items()}
-    words = sentence[::-1] if spec.kind == "reversed" else sentence
-    return [inverse[w] for w in words]
 
 
 def gold_alignment(spec: LanguageSpec, length: int) -> List[Tuple[int, int]]:

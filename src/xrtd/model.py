@@ -75,55 +75,56 @@ class ModelParams:
         return self.tensors[name]
 
 
-def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Initialize all weights Uniform[-init_range, init_range].
+def param_layout(config: ModelConfig) -> Dict[str, Tuple[Tuple[int, ...], str | float]]:
+    """Shape and initializer of every parameter, in initialization order.
 
-    For block l (1-based), the attention output projection and the FFN output
-    matrix are rescaled by 1/sqrt(2l). Biases start at zero, norm gains at one.
+    An initializer is "ones", "zeros" or the scale of a Uniform[-init_range,
+    init_range] draw: 1/sqrt(2l) for block l's (1-based) attention output
+    projection and FFN output matrix, 1 for every other weight.
     """
-    rng = np.random.default_rng(seed)
-    dtype = get_default_dtype()
-    r = config.init_range
     d, ffn, heads = config.hidden_size, config.ffn_size, config.num_heads
-    dk = config.head_dim
-    table_size = 2 * config.max_rel_distance + 1
-
-    def uniform(*shape):
-        return Tensor(rng.uniform(-r, r, size=shape).astype(dtype),
-                      requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    t: Dict[str, Tensor] = {"embed": uniform(config.vocab_size, d)}
+    ones, zeros = ((d,), "ones"), ((d,), "zeros")
+    layout = {"embed": ((config.vocab_size, d), 1.0)}
     for i in range(config.num_layers):
         p = f"layer{i}."
         scale = 1.0 / math.sqrt(2.0 * (i + 1))
-        t[p + "ln1.g"], t[p + "ln1.b"] = ones(d), zeros(d)
-        t[p + "attn.wq"], t[p + "attn.bq"] = uniform(d, d), zeros(d)
-        t[p + "attn.wk"], t[p + "attn.bk"] = uniform(d, d), zeros(d)
-        t[p + "attn.wv"], t[p + "attn.bv"] = uniform(d, d), zeros(d)
-        wo = uniform(d, d)
-        wo.data = (wo.data * scale).astype(dtype)
-        t[p + "attn.wo"], t[p + "attn.bo"] = wo, zeros(d)
-        t[p + "attn.d_table"] = uniform(table_size, heads)
-        t[p + "attn.gate_u"] = uniform(heads, dk)
-        t[p + "attn.gate_v"] = uniform(heads, dk)
-        t[p + "attn.gate_w"] = uniform(heads)
-        t[p + "ln2.g"], t[p + "ln2.b"] = ones(d), zeros(d)
-        t[p + "ffn.w1"], t[p + "ffn.b1"] = uniform(d, ffn), zeros(ffn)
-        w2 = uniform(ffn, d)
-        w2.data = (w2.data * scale).astype(dtype)
-        t[p + "ffn.w2"], t[p + "ffn.b2"] = w2, zeros(d)
-    t["final_ln.g"], t["final_ln.b"] = ones(d), zeros(d)
+        layout[p + "ln1.g"], layout[p + "ln1.b"] = ones, zeros
+        for w in "qkvo":
+            layout[p + f"attn.w{w}"] = ((d, d), scale if w == "o" else 1.0)
+            layout[p + f"attn.b{w}"] = zeros
+        layout[p + "attn.d_table"] = ((2 * config.max_rel_distance + 1, heads), 1.0)
+        layout[p + "attn.gate_u"] = layout[p + "attn.gate_v"] = \
+            ((heads, config.head_dim), 1.0)
+        layout[p + "attn.gate_w"] = ((heads,), 1.0)
+        layout[p + "ln2.g"], layout[p + "ln2.b"] = ones, zeros
+        layout[p + "ffn.w1"], layout[p + "ffn.b1"] = ((d, ffn), 1.0), ((ffn,), "zeros")
+        layout[p + "ffn.w2"], layout[p + "ffn.b2"] = ((ffn, d), scale), zeros
+    layout["final_ln.g"], layout["final_ln.b"] = ones, zeros
     if config.role == "generator":
-        t["mlm_bias"] = zeros(config.vocab_size)
+        layout["mlm_bias"] = ((config.vocab_size,), "zeros")
     else:
-        t["rtd_w"], t["rtd_b"] = uniform(d, 1), zeros(1)
-    return ModelParams(config, t)
+        layout["rtd_w"], layout["rtd_b"] = ((d, 1), 1.0), ((1,), "zeros")
+    return layout
+
+
+def init_params(config: ModelConfig, seed: int) -> ModelParams:
+    """Every parameter of `param_layout(config)`, initialized from `seed`
+    with one draw per weight, in layout order."""
+    rng = np.random.default_rng(seed)
+    dtype = get_default_dtype()
+    r = config.init_range
+    tensors: Dict[str, Tensor] = {}
+    for name, (shape, init) in param_layout(config).items():
+        if init == "ones":
+            data = np.ones(shape, dtype=dtype)
+        elif init == "zeros":
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            data = rng.uniform(-r, r, size=shape).astype(dtype)
+            if init != 1.0:
+                data = (data * init).astype(dtype)
+        tensors[name] = Tensor(data, requires_grad=True)
+    return ModelParams(config, tensors)
 
 
 @functools.lru_cache(maxsize=64)
@@ -225,27 +226,58 @@ class ModelPair:
     share_embeddings: bool = True
 
     def all_parameters(self) -> Dict[str, Tensor]:
-        named: Dict[str, Tensor] = {}
-        seen: set[int] = set()
-        for prefix, params in (("disc.", self.discriminator),
-                               ("gen.", self.generator)):
-            for name, t in params.tensors.items():
-                if id(t) in seen:
-                    continue
-                seen.add(id(t))
-                named[prefix + name] = t
-        return named
+        return _pair_names(self.generator.tensors, self.discriminator.tensors,
+                           self.share_embeddings)
 
 
-def init_model_pair(gen_config: ModelConfig, disc_config: ModelConfig,
-                    seed: int, share_embeddings: bool = True) -> ModelPair:
+def _pair_names(gen: Dict, disc: Dict, share_embeddings: bool) -> Dict:
+    """Both models' entries, prefixed "disc." and "gen.", in that order; a
+    shared embedding appears once, as the discriminator's."""
+    named = {"disc." + n: v for n, v in disc.items()}
+    named.update(("gen." + n, v) for n, v in gen.items()
+                 if not (share_embeddings and n == "embed"))
+    return named
+
+
+def _check_pair(gen_config: ModelConfig, disc_config: ModelConfig,
+                share_embeddings: bool) -> None:
     if gen_config.num_layers >= disc_config.num_layers:
         raise ValueError("generator must have fewer layers than discriminator")
     if share_embeddings and (gen_config.vocab_size != disc_config.vocab_size or
                              gen_config.hidden_size != disc_config.hidden_size):
         raise ValueError("shared embeddings require equal vocab and hidden sizes")
+
+
+def init_model_pair(gen_config: ModelConfig, disc_config: ModelConfig,
+                    seed: int, share_embeddings: bool = True) -> ModelPair:
+    _check_pair(gen_config, disc_config, share_embeddings)
     disc = init_params(disc_config, seed)
     gen = init_params(gen_config, seed + 1)
     if share_embeddings:
         gen.tensors["embed"] = disc.tensors["embed"]
+    return ModelPair(gen, disc, share_embeddings)
+
+
+def pair_layout(gen_config: ModelConfig, disc_config: ModelConfig,
+                share_embeddings: bool) -> Dict[str, Tuple[int, ...]]:
+    """Name and shape of each tensor `ModelPair.all_parameters` returns, in
+    its order."""
+    _check_pair(gen_config, disc_config, share_embeddings)
+    gen, disc = ({n: shape for n, (shape, _) in param_layout(c).items()}
+                 for c in (gen_config, disc_config))
+    return _pair_names(gen, disc, share_embeddings)
+
+
+def model_pair_from_arrays(gen_config: ModelConfig, disc_config: ModelConfig,
+                           share_embeddings: bool,
+                           arrays: Dict[str, np.ndarray]) -> ModelPair:
+    """The pair whose parameters are `arrays`, named as `pair_layout` names
+    them, each converted to the default dtype."""
+    dtype = get_default_dtype()
+    named = {k: Tensor(a.astype(dtype, copy=False), requires_grad=True)
+             for k, a in arrays.items()}
+    if share_embeddings:
+        named["gen.embed"] = named["disc.embed"]
+    gen, disc = (ModelParams(c, {n: named[prefix + n] for n in param_layout(c)})
+                 for prefix, c in (("gen.", gen_config), ("disc.", disc_config)))
     return ModelPair(gen, disc, share_embeddings)

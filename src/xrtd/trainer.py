@@ -2,8 +2,9 @@
 
 One Adam optimizer updates both sub-models; each step consumes one
 monolingual batch and one translation-pair batch so every step sees all four
-loss terms. Checkpoints capture parameters, optimizer moments, and the rng
-state, so a resumed run reproduces the uninterrupted run bit for bit.
+loss terms. Checkpoints capture parameters, optimizer moments, the rng state
+and the run record (the merged config and the TRTD flag), so a resumed run
+reproduces the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import serialize
 from .corpus import Corpus, CorpusStats, draw_batch, language_sampling_probs
-from .model import ModelConfig, ModelPair, init_model_pair
+from .model import ModelConfig, ModelPair, model_pair_from_arrays, pair_layout
 from .objectives import build_masked_batch, joint_loss, wrap_mono, wrap_pair
 from .tensor import Tensor, backward, no_grad, zero_grads
 
@@ -130,16 +131,6 @@ class Adam:
         self.t = t
 
 
-@dataclass
-class RunSettings:
-    """Batching and checkpoint settings, taken from the `data` config section."""
-    token_budget: int
-    mask_ratio: float
-    use_trtd: bool
-    checkpoint_every: int
-    alpha: float
-
-
 def _samplers(corpus: Corpus, alpha: float, use_trtd: bool):
     """(pools, probs, langs) for the monolingual sentences and, unless
     `use_trtd` is off, for the translation pairs; pools hold wrapped inputs."""
@@ -175,11 +166,13 @@ draw_pair_batch = draw_mono_batch
 
 
 def save_checkpoint(path: str, models: ModelPair, optimizer: Adam,
-                    rng: np.random.Generator, step: int, meta: dict) -> None:
+                    rng: np.random.Generator, step: int, run: Dict) -> None:
     """Checkpoint directory: config.json, params.bin, optim.bin, rng.json.
 
-    The files go to a temporary sibling directory that then replaces `path`,
-    so `path` never names a partly written checkpoint.
+    config.json holds the model configs, the step and the run record `run`,
+    {"config": merged run config, "use_trtd": bool}. The files go to a
+    temporary sibling directory that then replaces `path`, so `path` never
+    names a partly written checkpoint.
     """
     path = os.path.normpath(path)
     tmp = path + ".tmp"
@@ -190,9 +183,9 @@ def save_checkpoint(path: str, models: ModelPair, optimizer: Adam,
             "generator": asdict(models.generator.config),
             "discriminator": asdict(models.discriminator.config),
             "share_embeddings": models.share_embeddings,
-            "optim": asdict(optimizer.config),
             "step": step,
-            "meta": meta,
+            "config": run["config"],
+            "use_trtd": run["use_trtd"],
         }
         with open(os.path.join(tmp, "config.json"), "w") as fh:
             json.dump(config, fh, indent=2)
@@ -234,31 +227,32 @@ def _load_checked(path: str, shapes: Dict[str, tuple]) -> Dict[str, np.ndarray]:
 
 
 def load_checkpoint(path: str):
-    """Returns (models, optimizer, rng, step, meta).
+    """Returns (models, optimizer, rng, step, run), `run` being the run record.
 
     Every tensor in params.bin and optim.bin must match by name and shape the
     model that config.json describes; a mismatch raises a ValueError that
-    names the tensor.
+    names the tensor. A checkpoint without a run record raises a ValueError.
     """
     with open(os.path.join(path, "config.json")) as fh:
-        config = json.load(fh)
-    gen_cfg = ModelConfig(**config["generator"])
-    disc_cfg = ModelConfig(**config["discriminator"])
-    models = init_model_pair(gen_cfg, disc_cfg, seed=0,
-                             share_embeddings=config["share_embeddings"])
-    named = models.all_parameters()
+        saved = json.load(fh)
+    if "config" not in saved or "use_trtd" not in saved:
+        raise ValueError(f"{path}: checkpoint predates the run record "
+                         f"(config and use_trtd in config.json); train it again")
+    run = {"config": saved["config"], "use_trtd": saved["use_trtd"]}
+    gen_cfg = ModelConfig(**saved["generator"])
+    disc_cfg = ModelConfig(**saved["discriminator"])
+    shared = saved["share_embeddings"]
     arrays = _load_checked(os.path.join(path, "params.bin"),
-                           {k: t.data.shape for k, t in named.items()})
-    for name, t in named.items():
-        t.data = arrays[name].astype(t.data.dtype)
-    optimizer = Adam(named, OptimConfig(**config["optim"]))
+                           pair_layout(gen_cfg, disc_cfg, shared))
+    models = model_pair_from_arrays(gen_cfg, disc_cfg, shared, arrays)
+    optimizer = Adam(models.all_parameters(), OptimConfig(**run["config"]["optim"]))
     moments = _load_checked(os.path.join(path, "optim.bin"),
                             {k: a.shape for k, a in optimizer.state_arrays().items()})
-    optimizer.load_state_arrays(moments, config["step"])
+    optimizer.load_state_arrays(moments, saved["step"])
     rng = np.random.default_rng()
     with open(os.path.join(path, "rng.json")) as fh:
         rng.bit_generator.state = json.load(fh)
-    return models, optimizer, rng, config["step"], config.get("meta", {})
+    return models, optimizer, rng, saved["step"], run
 
 
 @dataclass
@@ -268,19 +262,21 @@ class TrainResult:
     history: List[dict]
 
 
-def train(models: ModelPair, corpus: Corpus, optim_cfg: OptimConfig,
-          out_dir: str, seed: int, settings: RunSettings,
+def train(models: ModelPair, corpus: Corpus, config: Dict, out_dir: str,
+          use_trtd: bool,
           resume: Tuple[Adam, np.random.Generator, int] | None = None) -> TrainResult:
-    """Run the joint loop for optim_cfg.total_steps, logging metrics per step."""
+    """Run the joint loop to `optim.total_steps` of the merged run `config`,
+    logging metrics per step; every checkpoint records `config` and `use_trtd`."""
     os.makedirs(out_dir, exist_ok=True)
     named = models.all_parameters()
-    if resume is not None:
-        optimizer, rng, start_step = resume
-    else:
-        optimizer, rng, start_step = Adam(named, optim_cfg), \
-            np.random.default_rng(seed), 0
+    optim_cfg = OptimConfig(**config["optim"])
+    if resume is None:
+        resume = (Adam(named, optim_cfg), np.random.default_rng(config["seed"]), 0)
+    optimizer, rng, start_step = resume
+    data = config["data"]
+    run = {"config": config, "use_trtd": use_trtd}
 
-    mono, pair = _samplers(corpus, settings.alpha, settings.use_trtd)
+    mono, pair = _samplers(corpus, data["alpha"], use_trtd)
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     history: List[dict] = []
@@ -291,7 +287,7 @@ def train(models: ModelPair, corpus: Corpus, optim_cfg: OptimConfig,
         writer.writerow(METRICS_COLUMNS)
         for step in range(start_step, optim_cfg.total_steps):
             mono_batch, pair_batch = _draw_batches(
-                mono, pair, settings.token_budget, settings.mask_ratio, rng)
+                mono, pair, data["token_budget"], data["mask_ratio"], rng)
             total, report = joint_loss(mono_batch, pair_batch, models,
                                        optim_cfg.lam, rng)
             zero_grads(named.values())
@@ -316,16 +312,14 @@ def train(models: ModelPair, corpus: Corpus, optim_cfg: OptimConfig,
                     f"loss above 10x initial for 50 steps at step {step}: "
                     f"total={report['total']:.3f} initial={initial_total:.3f}")
 
-            if settings.checkpoint_every and \
-                    (step + 1) % settings.checkpoint_every == 0 and \
+            if data["checkpoint_every"] and \
+                    (step + 1) % data["checkpoint_every"] == 0 and \
                     (step + 1) < optim_cfg.total_steps:
                 save_checkpoint(os.path.join(out_dir, f"ckpt_{step + 1}"),
-                                models, optimizer, rng, step + 1,
-                                {"settings": asdict(settings), "seed": seed})
+                                models, optimizer, rng, step + 1, run)
 
     final = os.path.join(out_dir, "ckpt_final")
-    save_checkpoint(final, models, optimizer, rng, optim_cfg.total_steps,
-                    {"settings": asdict(settings), "seed": seed})
+    save_checkpoint(final, models, optimizer, rng, optim_cfg.total_steps, run)
     return TrainResult(final, metrics_path, history)
 
 

@@ -8,6 +8,9 @@ from xrtd import align
 from xrtd.cli import (ALIGNED_PAIRS, ConfigError, DEFAULT_CONFIG, load_config,
                       main)
 
+AX_LANGUAGES = [{"lang": "en", "kind": "base", "seed": 0},
+                {"lang": "ax", "kind": "affix", "seed": 1}]
+
 TINY_OVERRIDES = {
     "seed": 1,
     "model": {"hidden_size": 16, "num_heads": 2, "gen_layers": 1,
@@ -151,7 +154,11 @@ class TestPretrainEval:
         ("data", "mask_ratio", 0.15, "data.mask_ratio"),
         ("data", "token_budget", 32, "data.token_budget"),
         (None, None, None, "--no-trtd"),
-    ], ids=["optim", "seed", "mask_ratio", "token_budget", "no_trtd"])
+        ("data", "n_sentences", 20, "data.n_sentences"),
+        ("data", "languages", AX_LANGUAGES, "data.languages"),
+        ("model", "hidden_size", 32, "model.hidden_size"),
+    ], ids=["optim", "seed", "mask_ratio", "token_budget", "no_trtd",
+            "n_sentences", "languages", "hidden_size"])
     def test_resume_refuses_changed_run(self, run_dir, tmp_path, capsys,
                                         section, key, value, named):
         _, _, out = run_dir
@@ -185,6 +192,44 @@ class TestPretrainEval:
         assert main(["pretrain", "--config", cfg, "--out", str(resumed),
                      "--resume", str(out / "ckpt_3")]) == 0
         assert (resumed / "ckpt_4").is_dir()
+
+    def test_resume_accepts_changed_eval_section(self, run_dir, tmp_path):
+        _, _, out = run_dir
+        overrides = json.loads(json.dumps(TINY_OVERRIDES))
+        overrides["eval"]["n_pairs"] = 7
+        cfg = write_config(tmp_path, overrides, "changed.json")
+        assert main(["pretrain", "--config", cfg, "--out",
+                     str(tmp_path / "resumed"), "--resume", str(out / "ckpt_3")]) == 0
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("data", "languages", AX_LANGUAGES, "data.languages"),
+        ("model", "hidden_size", 32, "model.hidden_size"),
+        ("model", "disc_layers", 3, "model.disc_layers"),
+    ], ids=["languages", "hidden_size", "disc_layers"])
+    def test_eval_refuses_changed_model_or_languages(self, run_dir, tmp_path,
+                                                     capsys, section, key,
+                                                     value, named):
+        _, _, out = run_dir
+        overrides = json.loads(json.dumps(TINY_OVERRIDES))
+        overrides[section][key] = value
+        cfg = write_config(tmp_path, overrides, "changed.json")
+        code = main(["eval", "--config", cfg, "--checkpoint",
+                     str(out / "ckpt_final"), "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0
+        assert err.startswith("error code=ConfigError msg=") and named in err
+        assert not (tmp_path / "e" / "run_config.json").exists()
+
+    def test_eval_accepts_changed_seed_and_eval_section(self, run_dir, tmp_path):
+        _, _, out = run_dir
+        overrides = json.loads(json.dumps(TINY_OVERRIDES))
+        overrides["seed"] = 5
+        overrides["data"]["n_sentences"] = 10
+        overrides["eval"]["n_pairs"] = 3
+        cfg = write_config(tmp_path, overrides, "changed.json")
+        assert main(["eval", "--config", cfg, "--checkpoint",
+                     str(out / "ckpt_final"), "--out", str(tmp_path / "e")]) == 0
 
     def test_no_trtd_zeroes_pair_losses(self, run_dir, tmp_path):
         base, cfg, _ = run_dir

@@ -6,8 +6,7 @@ import pytest
 from xrtd import corpus as corpus_module
 from xrtd.corpus import (RESERVED_TOKENS, Corpus, CorpusStats, LanguageSpec,
                          ToyGrammar, Vocab, build_vocab, draw_batch,
-                         gold_alignment, invert_sentence,
-                         language_sampling_probs, save_corpus_files,
+                         gold_alignment, language_sampling_probs, save_corpus_files,
                          synth_corpus, token_map, transform_sentence)
 
 
@@ -60,18 +59,11 @@ class TestVocab:
         with pytest.raises(ValueError):
             Vocab(["cat", "cat"])
 
-    def test_save_load_roundtrip(self, tmp_path):
+    def test_vocab_file_lines_are_id_to_token(self, tmp_path):
         v = Vocab(["cat", "dog"])
         path = tmp_path / "vocab.txt"
         v.save(path)
-        loaded = Vocab.load(path)
-        assert loaded.id_to_token == v.id_to_token
-
-    def test_load_rejects_missing_reserved(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        path.write_text("cat\ndog\n")
-        with pytest.raises(ValueError):
-            Vocab.load(path)
+        assert path.read_text(encoding="utf-8").split("\n") == v.id_to_token + [""]
 
 
 class TestTransforms:
@@ -79,13 +71,16 @@ class TestTransforms:
 
     @pytest.mark.parametrize("kind", ["permuted", "reversed", "affix"])
     def test_invertibility(self, kind):
+        # a one-to-one word map over the whole lexicon, applied word by word
+        # (then mirrored or not), makes every transform invertible
         spec = LanguageSpec("zz", kind, seed=3)
+        mapping = token_map(spec, self.grammar)
+        assert set(mapping) == set(self.grammar.anchors + self.grammar.words)
+        assert len(set(mapping.values())) == len(mapping)
         rng = np.random.default_rng(0)
         for _ in range(50):
             s = self.grammar.sample_sentence(rng)
-            out = transform_sentence(s, spec, self.grammar)
-            assert len(out) == len(s)
-            assert invert_sentence(out, spec, self.grammar) == s
+            assert len(transform_sentence(s, spec, self.grammar)) == len(s)
 
     def test_transform_is_deterministic(self):
         spec = LanguageSpec("pv", "permuted", seed=9)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from xrtd import model
 from xrtd.cli import DEFAULT_CONFIG
 from xrtd.model import (ModelConfig, _clipped_offsets, attention_weights,
                         encode, gated_bias, init_model_pair, init_params,
@@ -268,7 +269,8 @@ class TestSerialization:
                                share_embeddings=share_embeddings)
         optim = Adam(pair.all_parameters(), OptimConfig(**DEFAULT_CONFIG["optim"]))
         path = str(tmp_path / "ck")
-        save_checkpoint(path, pair, optim, np.random.default_rng(0), 0, {})
+        save_checkpoint(path, pair, optim, np.random.default_rng(0), 0,
+                        {"config": DEFAULT_CONFIG, "use_trtd": True})
         return pair, path
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -276,6 +278,27 @@ class TestSerialization:
         loaded = load_checkpoint(path)[0].all_parameters()
         for name, t in pair.all_parameters().items():
             assert np.array_equal(t.data, loaded[name].data), name
+
+    @pytest.mark.parametrize("share_embeddings", [True, False])
+    def test_load_builds_no_random_model(self, tmp_path, monkeypatch,
+                                         share_embeddings):
+        pair, path = self.checkpoint(tmp_path, share_embeddings)
+        calls = []
+        init = model.init_params
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return init(*args, **kwargs)
+        monkeypatch.setattr(model, "init_params", counting)
+        loaded = load_checkpoint(path)[0]
+        assert calls == []
+        # Adam's moments and norm sum follow this order, so resume needs it
+        want, got = pair.all_parameters(), loaded.all_parameters()
+        assert list(got) == list(want)
+        assert all(got[k].data.dtype == t.data.dtype and got[k].requires_grad
+                   for k, t in want.items())
+        shared = loaded.generator["embed"] is loaded.discriminator["embed"]
+        assert shared == share_embeddings
 
     def test_name_mismatch_rejected(self, tmp_path):
         _, path = self.checkpoint(tmp_path, share_embeddings=False)

@@ -1,4 +1,6 @@
+import copy
 import csv
+import json
 import math
 import os
 import re
@@ -12,8 +14,8 @@ from xrtd.corpus import LanguageSpec, synth_corpus
 from xrtd.model import ModelConfig, init_model_pair
 from xrtd.tensor import Tensor
 from xrtd.trainer import (METRICS_COLUMNS, Adam, DivergenceError, OptimConfig,
-                          RunSettings, _decays, heldout_disc_accuracy,
-                          load_checkpoint, lr_at, save_checkpoint, train)
+                          _decays, heldout_disc_accuracy, load_checkpoint,
+                          lr_at, save_checkpoint, train)
 
 
 def small_corpus(seed=0, n=60):
@@ -35,16 +37,17 @@ def optim_config(**overrides):
     return OptimConfig(**{**DEFAULT_CONFIG["optim"], **overrides})
 
 
+def small_run(total=40, warmup=8, seed=0, **data):
+    """A merged run config with the small schedule and 64-token batches."""
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    config["seed"] = seed
+    config["optim"].update(lr_peak=1e-3, warmup_steps=warmup, total_steps=total)
+    config["data"].update({"token_budget": 64, "checkpoint_every": 20, **data})
+    return config
+
+
 def small_optim(total=40, warmup=8):
-    return optim_config(lr_peak=1e-3, warmup_steps=warmup, total_steps=total)
-
-
-def small_settings(**kw):
-    data = DEFAULT_CONFIG["data"]
-    values = dict(token_budget=64, mask_ratio=data["mask_ratio"],
-                  use_trtd=True, checkpoint_every=20, alpha=data["alpha"])
-    values.update(kw)
-    return RunSettings(**values)
+    return OptimConfig(**small_run(total, warmup)["optim"])
 
 
 class TestSchedule:
@@ -163,11 +166,9 @@ class TestTrainLoop:
         corpus = small_corpus()
         models = small_models(len(corpus.vocab))
         before = {k: t.data.copy() for k, t in models.all_parameters().items()}
-        cfg = small_optim(total=10)
-        optim = Adam(models.all_parameters(), cfg)
-        result = train(models, corpus, cfg, str(tmp_path / "run"), seed=0,
-                       settings=small_settings(),
-                       resume=(optim, np.random.default_rng(0), cfg.total_steps))
+        optim = Adam(models.all_parameters(), small_optim(total=10))
+        result = train(models, corpus, small_run(total=10), str(tmp_path / "run"),
+                       True, resume=(optim, np.random.default_rng(0), 10))
         assert result.history == []
         loaded, _, _, step, _ = load_checkpoint(result.final_checkpoint)
         assert step == 10
@@ -178,9 +179,8 @@ class TestTrainLoop:
         def run(tag):
             corpus = small_corpus()
             models = small_models(len(corpus.vocab))
-            result = train(models, corpus, small_optim(total=10),
-                           str(tmp_path / tag), seed=3,
-                           settings=small_settings())
+            result = train(models, corpus, small_run(total=10, seed=3),
+                           str(tmp_path / tag), True)
             with open(result.metrics_path) as fh:
                 return fh.read()
 
@@ -190,13 +190,9 @@ class TestTrainLoop:
         corpus = small_corpus()
         models = small_models(len(corpus.vocab))
         before = {k: t.data.copy() for k, t in models.all_parameters().items()}
-        cfg = small_optim(total=10)
-        optim = Adam(models.all_parameters(), cfg)
-        cfg = small_optim(total=6, warmup=2)
-        optim = Adam(models.all_parameters(), cfg)
-        train(models, corpus, cfg, str(tmp_path / "run"), seed=0,
-              settings=small_settings(),
-              resume=(optim, np.random.default_rng(0), 4))
+        optim = Adam(models.all_parameters(), small_optim(total=6, warmup=2))
+        train(models, corpus, small_run(total=6, warmup=2), str(tmp_path / "run"),
+              True, resume=(optim, np.random.default_rng(0), 4))
         changed = {k for k, t in models.all_parameters().items()
                    if not np.array_equal(t.data, before[k])}
         assert any(k.startswith("gen.layer") for k in changed)
@@ -205,9 +201,9 @@ class TestTrainLoop:
     def test_metrics_csv_layout(self, tmp_path):
         corpus = small_corpus()
         models = small_models(len(corpus.vocab))
-        result = train(models, corpus, small_optim(total=5, warmup=2),
-                       str(tmp_path / "run"), seed=0,
-                       settings=small_settings(checkpoint_every=0))
+        result = train(models, corpus,
+                       small_run(total=5, warmup=2, checkpoint_every=0),
+                       str(tmp_path / "run"), True)
         with open(result.metrics_path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == METRICS_COLUMNS
@@ -218,16 +214,15 @@ class TestTrainLoop:
     def test_resume_reproduces_interrupted_run(self, tmp_path):
         corpus = small_corpus()
         models = small_models(len(corpus.vocab))
-        full = train(models, corpus, small_optim(total=40),
-                     str(tmp_path / "full"), seed=5,
-                     settings=small_settings(checkpoint_every=20))
+        full = train(models, corpus, small_run(total=40, seed=5),
+                     str(tmp_path / "full"), True)
 
         loaded, optim, rng, step, _ = load_checkpoint(
             str(tmp_path / "full" / "ckpt_20"))
         assert step == 20
-        resumed = train(loaded, corpus, small_optim(total=40),
-                        str(tmp_path / "resumed"), seed=5,
-                        settings=small_settings(checkpoint_every=0),
+        resumed = train(loaded, corpus,
+                        small_run(total=40, seed=5, checkpoint_every=0),
+                        str(tmp_path / "resumed"), True,
                         resume=(optim, rng, step))
         tail = full.history[20:]
         assert len(resumed.history) == len(tail) == 20
@@ -245,10 +240,11 @@ class TestTrainLoop:
         optim = Adam(models.all_parameters(), cfg)
         rng = np.random.default_rng(11)
         rng.random(17)   # advance away from the seed state
-        save_checkpoint(str(tmp_path / "ck"), models, optim, rng, 7,
-                        {"note": "test"})
-        loaded, optim2, rng2, step, meta = load_checkpoint(str(tmp_path / "ck"))
-        assert step == 7 and meta == {"note": "test"}
+        record = {"config": small_run(total=10, seed=11), "use_trtd": False}
+        save_checkpoint(str(tmp_path / "ck"), models, optim, rng, 7, record)
+        loaded, optim2, rng2, step, run = load_checkpoint(str(tmp_path / "ck"))
+        assert step == 7 and run == record
+        assert optim2.config == cfg
         assert rng2.bit_generator.state == rng.bit_generator.state
         assert optim2.t == 7
         for k, t in models.all_parameters().items():
@@ -260,10 +256,9 @@ class TestTrainLoop:
     def test_no_trtd_mode_runs(self, tmp_path):
         corpus = small_corpus()
         models = small_models(len(corpus.vocab))
-        result = train(models, corpus, small_optim(total=5, warmup=2),
-                       str(tmp_path / "run"), seed=0,
-                       settings=small_settings(use_trtd=False,
-                                               checkpoint_every=0))
+        result = train(models, corpus,
+                       small_run(total=5, warmup=2, checkpoint_every=0),
+                       str(tmp_path / "run"), False)
         assert all(r["loss_tlm"] == 0.0 and r["loss_trtd"] == 0.0
                    for r in result.history)
 
@@ -281,9 +276,9 @@ class TestTrainLoop:
 
         monkeypatch.setattr("xrtd.trainer.joint_loss", exploding_loss)
         with pytest.raises(DivergenceError, match="50 steps"):
-            train(models, corpus, small_optim(total=200, warmup=10),
-                  str(tmp_path / "run"), seed=0,
-                  settings=small_settings(checkpoint_every=0))
+            train(models, corpus,
+                  small_run(total=200, warmup=10, checkpoint_every=0),
+                  str(tmp_path / "run"), True)
         assert counter["n"] == 51
 
     def test_heldout_accuracy_in_unit_interval(self):
@@ -302,7 +297,7 @@ class TestCheckpointFiles:
         models = small_models(30)
         optim = Adam(models.all_parameters(), small_optim())
         save_checkpoint(str(path), models, optim, np.random.default_rng(0),
-                        step, {"seed": 0})
+                        step, {"config": small_run(), "use_trtd": True})
         return str(path)
 
     @pytest.mark.parametrize("file, tensor, edit", [
@@ -334,6 +329,25 @@ class TestCheckpointFiles:
         (existing / "run_config.json").write_bytes(b"earlier run")
         assert main(["eval", "--checkpoint", path, "--out", str(existing)]) == 2
         assert (existing / "run_config.json").read_bytes() == b"earlier run"
+
+    def test_checkpoint_without_run_record_is_refused(self, tmp_path, capsys):
+        # config.json as written before checkpoints carried the run record
+        path = self.saved(tmp_path / "ck")
+        config_path = os.path.join(path, "config.json")
+        with open(config_path) as fh:
+            saved = json.load(fh)
+        run_config = saved.pop("config")
+        saved["optim"] = run_config["optim"]
+        saved["meta"] = {"settings": {"use_trtd": saved.pop("use_trtd")},
+                         "seed": run_config["seed"]}
+        with open(config_path, "w") as fh:
+            json.dump(saved, fh)
+        code = main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and path in err and "predates" in err
+        assert err.startswith('error code=ValueError msg="')
 
     def test_failed_save_leaves_no_checkpoint(self, tmp_path, monkeypatch):
         write = serialize.save_arrays
