@@ -26,9 +26,9 @@ from . import align
 from .corpus import (Corpus, LanguageSpec, gold_alignment, synth_corpus,
                      save_corpus_files)
 from .gradcheck import check_joint_gradients
-from .model import ModelConfig, init_model_pair
+from .model import init_model_pair, pair_configs
 from .objectives import wrap_mono
-from .trainer import OptimConfig, load_checkpoint, train
+from .trainer import check_run, load_checkpoint, train
 
 DEFAULT_CONFIG: Dict = {
     "seed": 0,
@@ -40,7 +40,6 @@ DEFAULT_CONFIG: Dict = {
         "ffn_size": 128,
         "max_rel_distance": 4,
         "init_range": 0.02,
-        "share_embeddings": True,
     },
     "optim": {
         "lr_peak": 4e-3,
@@ -142,16 +141,8 @@ def _build_corpus(config: Dict) -> Corpus:
 
 
 def _model_pair(config: Dict, vocab_size: int):
-    m = config["model"]
-    gen_cfg, disc_cfg = (
-        ModelConfig(num_layers=m[layers], hidden_size=m["hidden_size"],
-                    num_heads=m["num_heads"], ffn_size=m["ffn_size"],
-                    vocab_size=vocab_size, max_rel_distance=m["max_rel_distance"],
-                    init_range=m["init_range"], role=role)
-        for layers, role in (("gen_layers", "generator"),
-                             ("disc_layers", "discriminator")))
-    return init_model_pair(gen_cfg, disc_cfg, seed=config["seed"],
-                           share_embeddings=m["share_embeddings"])
+    return init_model_pair(*pair_configs(config["model"], vocab_size),
+                           seed=config["seed"])
 
 
 def cmd_synth(args) -> int:
@@ -174,8 +165,8 @@ def cmd_pretrain(args) -> int:
                         {**config, "--no-trtd": args.no_trtd}, RESUME_KEYS)
         resume = (optimizer, rng, step)
     else:
-        OptimConfig(**config["optim"])    # a bad schedule fails before any output
         models, resume = _model_pair(config, len(corpus.vocab)), None
+    check_run(models, corpus, config, not args.no_trtd)   # fails before any output
     _write_config_copy(config, args.out)
     result = train(models, corpus, config, args.out, not args.no_trtd, resume)
     print(result.final_checkpoint)

@@ -72,8 +72,6 @@ class CorpusStats:
 def language_sampling_probs(stats: CorpusStats) -> np.ndarray:
     """p_j = m_j^alpha / sum_k m_k^alpha, over the languages in stats order."""
     m = np.array(list(stats.counts.values()), dtype=np.float64)
-    if np.any(m <= 0):
-        raise ValueError("all language counts must be positive")
     weights = m ** stats.alpha
     return weights / weights.sum()
 

@@ -11,7 +11,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .model import ModelConfig, ModelPair, init_model_pair
+from .model import ModelPair, init_model_pair, pair_configs
 from .objectives import (CorruptedBatch, MaskedBatch, build_masked_batch,
                          discriminator_loss_rtd, generator_loss_mlm,
                          generator_loss_tlm, sample_corruption, wrap_mono,
@@ -99,15 +99,10 @@ def check_joint_gradients(seed: int, coords_per_param: int | None = 6,
         d = heads * int(rng.choice([3, 4]))
         # init_range well above training scale: at 0.02 the gate gradients
         # fall below float64 finite-difference resolution
-        gen_cfg = ModelConfig(num_layers=1, hidden_size=d, num_heads=heads,
-                              ffn_size=int(rng.integers(4, 9)),
-                              vocab_size=vocab, max_rel_distance=3,
-                              init_range=0.4, role="generator")
-        disc_cfg = ModelConfig(num_layers=2, hidden_size=d, num_heads=heads,
-                               ffn_size=gen_cfg.ffn_size, vocab_size=vocab,
-                               max_rel_distance=3, init_range=0.4,
-                               role="discriminator")
-        models = init_model_pair(gen_cfg, disc_cfg, seed=seed + 1)
+        section = {"hidden_size": d, "num_heads": heads, "gen_layers": 1,
+                   "disc_layers": 2, "ffn_size": int(rng.integers(4, 9)),
+                   "max_rel_distance": 3, "init_range": 0.4}
+        models = init_model_pair(*pair_configs(section, vocab), seed=seed + 1)
         mono, pair = _random_batches(vocab, rng)
         _, mono_logits = generator_loss_mlm(mono, models.generator)
         _, pair_logits = generator_loss_tlm(pair, models.generator)

@@ -218,66 +218,72 @@ def rtd_logits(h: Tensor, params: ModelParams) -> Tensor:
     return out.reshape(out.shape[:-1])
 
 
+def pair_configs(model: Dict, vocab_size: int) -> Tuple[ModelConfig, ModelConfig]:
+    """The generator and discriminator configs that a run config's `model`
+    section describes, over a vocabulary of `vocab_size` tokens."""
+    return tuple(
+        ModelConfig(num_layers=model[layers], hidden_size=model["hidden_size"],
+                    num_heads=model["num_heads"], ffn_size=model["ffn_size"],
+                    vocab_size=vocab_size,
+                    max_rel_distance=model["max_rel_distance"],
+                    init_range=model["init_range"], role=role)
+        for layers, role in (("gen_layers", "generator"),
+                             ("disc_layers", "discriminator")))
+
+
 @dataclass
 class ModelPair:
-    """Generator and discriminator, optionally sharing the embedding table."""
+    """Generator and discriminator, sharing one embedding table."""
     generator: ModelParams
     discriminator: ModelParams
-    share_embeddings: bool = True
 
     def all_parameters(self) -> Dict[str, Tensor]:
-        return _pair_names(self.generator.tensors, self.discriminator.tensors,
-                           self.share_embeddings)
+        return _pair_names(self.generator.tensors, self.discriminator.tensors)
 
 
-def _pair_names(gen: Dict, disc: Dict, share_embeddings: bool) -> Dict:
-    """Both models' entries, prefixed "disc." and "gen.", in that order; a
+def _pair_names(gen: Dict, disc: Dict) -> Dict:
+    """Both models' entries, prefixed "disc." and "gen.", in that order; the
     shared embedding appears once, as the discriminator's."""
     named = {"disc." + n: v for n, v in disc.items()}
-    named.update(("gen." + n, v) for n, v in gen.items()
-                 if not (share_embeddings and n == "embed"))
+    named.update(("gen." + n, v) for n, v in gen.items() if n != "embed")
     return named
 
 
-def _check_pair(gen_config: ModelConfig, disc_config: ModelConfig,
-                share_embeddings: bool) -> None:
+def _check_pair(gen_config: ModelConfig, disc_config: ModelConfig) -> None:
     if gen_config.num_layers >= disc_config.num_layers:
         raise ValueError("generator must have fewer layers than discriminator")
-    if share_embeddings and (gen_config.vocab_size != disc_config.vocab_size or
-                             gen_config.hidden_size != disc_config.hidden_size):
+    if (gen_config.vocab_size != disc_config.vocab_size or
+            gen_config.hidden_size != disc_config.hidden_size):
         raise ValueError("shared embeddings require equal vocab and hidden sizes")
 
 
 def init_model_pair(gen_config: ModelConfig, disc_config: ModelConfig,
-                    seed: int, share_embeddings: bool = True) -> ModelPair:
-    _check_pair(gen_config, disc_config, share_embeddings)
+                    seed: int) -> ModelPair:
+    _check_pair(gen_config, disc_config)
     disc = init_params(disc_config, seed)
     gen = init_params(gen_config, seed + 1)
-    if share_embeddings:
-        gen.tensors["embed"] = disc.tensors["embed"]
-    return ModelPair(gen, disc, share_embeddings)
+    gen.tensors["embed"] = disc.tensors["embed"]
+    return ModelPair(gen, disc)
 
 
-def pair_layout(gen_config: ModelConfig, disc_config: ModelConfig,
-                share_embeddings: bool) -> Dict[str, Tuple[int, ...]]:
+def pair_layout(gen_config: ModelConfig,
+                disc_config: ModelConfig) -> Dict[str, Tuple[int, ...]]:
     """Name and shape of each tensor `ModelPair.all_parameters` returns, in
     its order."""
-    _check_pair(gen_config, disc_config, share_embeddings)
+    _check_pair(gen_config, disc_config)
     gen, disc = ({n: shape for n, (shape, _) in param_layout(c).items()}
                  for c in (gen_config, disc_config))
-    return _pair_names(gen, disc, share_embeddings)
+    return _pair_names(gen, disc)
 
 
 def model_pair_from_arrays(gen_config: ModelConfig, disc_config: ModelConfig,
-                           share_embeddings: bool,
                            arrays: Dict[str, np.ndarray]) -> ModelPair:
     """The pair whose parameters are `arrays`, named as `pair_layout` names
     them, each converted to the default dtype."""
     dtype = get_default_dtype()
     named = {k: Tensor(a.astype(dtype, copy=False), requires_grad=True)
              for k, a in arrays.items()}
-    if share_embeddings:
-        named["gen.embed"] = named["disc.embed"]
+    named["gen.embed"] = named["disc.embed"]
     gen, disc = (ModelParams(c, {n: named[prefix + n] for n in param_layout(c)})
                  for prefix, c in (("gen.", gen_config), ("disc.", disc_config)))
-    return ModelPair(gen, disc, share_embeddings)
+    return ModelPair(gen, disc)

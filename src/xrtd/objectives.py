@@ -123,9 +123,8 @@ def _generator_loss(batch: MaskedBatch, generator: ModelParams):
     b_idx, p_idx = _mask_index(batch)
     rows = gather_rows(states[-1], b_idx, p_idx)
     logits = mlm_logits(rows, generator)
-    targets = batch.original[b_idx, p_idx]
-    loss = softmax_cross_entropy(logits, targets)
-    return loss, logits.data.copy(), targets
+    loss = softmax_cross_entropy(logits, batch.original[b_idx, p_idx])
+    return loss, logits.data.copy()
 
 
 def generator_loss_mlm(batch: MaskedBatch, generator: ModelParams):
@@ -136,16 +135,14 @@ def generator_loss_mlm(batch: MaskedBatch, generator: ModelParams):
     """
     if batch.is_pair:
         raise ValueError("MLM loss expects a monolingual batch")
-    loss, logits, _ = _generator_loss(batch, generator)
-    return loss, logits
+    return _generator_loss(batch, generator)
 
 
 def generator_loss_tlm(batch: MaskedBatch, generator: ModelParams):
     """MLM over a concatenated translation pair, masked in both segments."""
     if not batch.is_pair:
         raise ValueError("TLM loss requires translation pairs (a SEP token)")
-    loss, logits, _ = _generator_loss(batch, generator)
-    return loss, logits
+    return _generator_loss(batch, generator)
 
 
 def sample_corruption(batch: MaskedBatch, generator_logits: np.ndarray,

@@ -14,14 +14,15 @@ import json
 import math
 import os
 import shutil
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import serialize
-from .corpus import Corpus, CorpusStats, draw_batch, language_sampling_probs
-from .model import ModelConfig, ModelPair, model_pair_from_arrays, pair_layout
+from .corpus import (Corpus, CorpusStats, LanguageSpec, build_vocab, draw_batch,
+                     language_sampling_probs)
+from .model import ModelPair, model_pair_from_arrays, pair_configs, pair_layout
 from .objectives import build_masked_batch, joint_loss, wrap_mono, wrap_pair
 from .tensor import Tensor, backward, no_grad, zero_grads
 
@@ -169,29 +170,20 @@ def save_checkpoint(path: str, models: ModelPair, optimizer: Adam,
                     rng: np.random.Generator, step: int, run: Dict) -> None:
     """Checkpoint directory: config.json, params.bin, optim.bin, rng.json.
 
-    config.json holds the model configs, the step and the run record `run`,
-    {"config": merged run config, "use_trtd": bool}. The files go to a
-    temporary sibling directory that then replaces `path`, so `path` never
-    names a partly written checkpoint.
+    config.json holds the step and the run record `run`, {"config": merged
+    run config, "use_trtd": bool}; the record's `model` section and languages
+    describe the arrays. The files go to a temporary sibling directory that
+    then replaces `path`, so `path` never names a partly written checkpoint.
     """
     path = os.path.normpath(path)
     tmp = path + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp)
     try:
-        config = {
-            "generator": asdict(models.generator.config),
-            "discriminator": asdict(models.discriminator.config),
-            "share_embeddings": models.share_embeddings,
-            "step": step,
-            "config": run["config"],
-            "use_trtd": run["use_trtd"],
-        }
         with open(os.path.join(tmp, "config.json"), "w") as fh:
-            json.dump(config, fh, indent=2)
-        named = models.all_parameters()
+            json.dump({"step": step, **run}, fh, indent=2)
         serialize.save_arrays(os.path.join(tmp, "params.bin"),
-                              {k: t.data for k, t in named.items()})
+                              {k: t.data for k, t in models.all_parameters().items()})
         serialize.save_arrays(os.path.join(tmp, "optim.bin"),
                               optimizer.state_arrays())
         with open(os.path.join(tmp, "rng.json"), "w") as fh:
@@ -208,6 +200,11 @@ def save_checkpoint(path: str, models: ModelPair, optimizer: Adam,
         shutil.rmtree(old)
     else:
         os.replace(tmp, path)
+
+
+def _vocab_size(config: Dict) -> int:
+    """Size of the vocabulary of the run `config`'s languages."""
+    return len(build_vocab([LanguageSpec(**e) for e in config["data"]["languages"]]))
 
 
 def _load_checked(path: str, shapes: Dict[str, tuple]) -> Dict[str, np.ndarray]:
@@ -229,9 +226,10 @@ def _load_checked(path: str, shapes: Dict[str, tuple]) -> Dict[str, np.ndarray]:
 def load_checkpoint(path: str):
     """Returns (models, optimizer, rng, step, run), `run` being the run record.
 
-    Every tensor in params.bin and optim.bin must match by name and shape the
-    model that config.json describes; a mismatch raises a ValueError that
-    names the tensor. A checkpoint without a run record raises a ValueError.
+    The model pair is the one the record's `model` section and languages
+    describe. Every tensor in params.bin and optim.bin must match it by name
+    and shape; a mismatch raises a ValueError that names the tensor. A
+    checkpoint without a run record raises a ValueError.
     """
     with open(os.path.join(path, "config.json")) as fh:
         saved = json.load(fh)
@@ -239,12 +237,9 @@ def load_checkpoint(path: str):
         raise ValueError(f"{path}: checkpoint predates the run record "
                          f"(config and use_trtd in config.json); train it again")
     run = {"config": saved["config"], "use_trtd": saved["use_trtd"]}
-    gen_cfg = ModelConfig(**saved["generator"])
-    disc_cfg = ModelConfig(**saved["discriminator"])
-    shared = saved["share_embeddings"]
-    arrays = _load_checked(os.path.join(path, "params.bin"),
-                           pair_layout(gen_cfg, disc_cfg, shared))
-    models = model_pair_from_arrays(gen_cfg, disc_cfg, shared, arrays)
+    configs = pair_configs(run["config"]["model"], _vocab_size(run["config"]))
+    arrays = _load_checked(os.path.join(path, "params.bin"), pair_layout(*configs))
+    models = model_pair_from_arrays(*configs, arrays)
     optimizer = Adam(models.all_parameters(), OptimConfig(**run["config"]["optim"]))
     moments = _load_checked(os.path.join(path, "optim.bin"),
                             {k: a.shape for k, a in optimizer.state_arrays().items()})
@@ -262,21 +257,37 @@ class TrainResult:
     history: List[dict]
 
 
+def check_run(models: ModelPair, corpus: Corpus, config: Dict, use_trtd: bool):
+    """(optim config, mono sampler, pair sampler) of a run of `models` on
+    `corpus`; a ValueError if the `optim` or `data` section of the merged run
+    `config` is invalid or `models` is not the pair that `config` describes."""
+    optim_cfg = OptimConfig(**config["optim"])
+    data = config["data"]
+    if data["token_budget"] <= 0:
+        raise ValueError("token_budget must be positive")
+    if not 0 < data["mask_ratio"] <= 1:
+        raise ValueError("mask_ratio must be in (0, 1]")
+    described = pair_configs(config["model"], _vocab_size(config))
+    if (models.generator.config, models.discriminator.config) != described:
+        raise ValueError("the model pair is not the one that the config's "
+                         "model section and languages describe")
+    return (optim_cfg, *_samplers(corpus, data["alpha"], use_trtd))
+
+
 def train(models: ModelPair, corpus: Corpus, config: Dict, out_dir: str,
           use_trtd: bool,
           resume: Tuple[Adam, np.random.Generator, int] | None = None) -> TrainResult:
     """Run the joint loop to `optim.total_steps` of the merged run `config`,
-    logging metrics per step; every checkpoint records `config` and `use_trtd`."""
+    logging metrics per step; every checkpoint records `config` and `use_trtd`,
+    which describe `models`. A refused run raises before anything is written."""
+    optim_cfg, mono, pair = check_run(models, corpus, config, use_trtd)
     os.makedirs(out_dir, exist_ok=True)
     named = models.all_parameters()
-    optim_cfg = OptimConfig(**config["optim"])
     if resume is None:
         resume = (Adam(named, optim_cfg), np.random.default_rng(config["seed"]), 0)
     optimizer, rng, start_step = resume
     data = config["data"]
     run = {"config": config, "use_trtd": use_trtd}
-
-    mono, pair = _samplers(corpus, data["alpha"], use_trtd)
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     history: List[dict] = []

@@ -95,6 +95,39 @@ class TestErrors:
         assert err.count("\n") == 0
         assert err.startswith("error code=ConfigError msg=")
 
+    def test_share_embeddings_is_an_unknown_key(self, tmp_path, capsys):
+        # the two models always share one embedding table
+        overrides = json.loads(json.dumps(TINY_OVERRIDES))
+        overrides["model"]["share_embeddings"] = False
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "run"
+        code = main(["pretrain", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err == ("error code=ConfigError msg=\"unknown config key "
+                       "'model.share_embeddings'\"")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("alpha", 0, "alpha"),
+        ("n_sentences", 0, "counts"),
+        ("token_budget", 0, "token_budget"),
+        ("mask_ratio", 1.5, "mask_ratio"),
+    ], ids=["alpha", "n_sentences", "token_budget", "mask_ratio"])
+    def test_bad_data_section_fails_before_any_output(self, tmp_path, capsys,
+                                                      key, value, named):
+        overrides = json.loads(json.dumps(TINY_OVERRIDES))
+        overrides["data"][key] = value
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "run"
+        code = main(["pretrain", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert err.startswith('error code=ValueError msg="')
+        assert not (out / "run_config.json").exists()
+        assert not (out / "metrics.csv").exists()
+
     def test_missing_checkpoint_exits_two(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "missing"),
                      "--out", str(tmp_path / "o")])

@@ -13,14 +13,14 @@ from xrtd.objectives import (BOS, EOS, MASK, PAD, SEP, SPECIAL_IDS,
 from xrtd.tensor import backward, gather_rows, zero_grads
 
 
-def tiny_pair(vocab_size=100, seed=0, share=True):
+def tiny_pair(vocab_size=100, seed=0):
     gen = ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
                       vocab_size=vocab_size, max_rel_distance=4,
                       init_range=0.02, role="generator")
     disc = ModelConfig(num_layers=2, hidden_size=8, num_heads=2, ffn_size=16,
                        vocab_size=vocab_size, max_rel_distance=4,
                        init_range=0.02, role="discriminator")
-    return init_model_pair(gen, disc, seed=seed, share_embeddings=share)
+    return init_model_pair(gen, disc, seed=seed)
 
 
 def random_mono_batch(rng, vocab_size=100, n_seqs=4, ratio=0.15):
@@ -316,7 +316,7 @@ class TestJointLoss:
 
     def test_gradient_firewall(self):
         # discriminator loss alone must not reach generator-only weights
-        models = tiny_pair(share=True)
+        models = tiny_pair()
         rng = np.random.default_rng(24)
         mono = random_mono_batch(rng)
         _, logits = generator_loss_mlm(mono, models.generator)

@@ -11,7 +11,7 @@ import pytest
 from xrtd import serialize
 from xrtd.cli import DEFAULT_CONFIG, main
 from xrtd.corpus import LanguageSpec, synth_corpus
-from xrtd.model import ModelConfig, init_model_pair
+from xrtd.model import init_model_pair, pair_configs
 from xrtd.tensor import Tensor
 from xrtd.trainer import (METRICS_COLUMNS, Adam, DivergenceError, OptimConfig,
                           _decays, heldout_disc_accuracy, load_checkpoint,
@@ -24,13 +24,9 @@ def small_corpus(seed=0, n=60):
 
 
 def small_models(vocab_size, seed=0):
-    gen = ModelConfig(num_layers=1, hidden_size=16, num_heads=2, ffn_size=32,
-                      vocab_size=vocab_size, max_rel_distance=4,
-                      init_range=0.02, role="generator")
-    disc = ModelConfig(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32,
-                       vocab_size=vocab_size, max_rel_distance=4,
-                       init_range=0.02, role="discriminator")
-    return init_model_pair(gen, disc, seed=seed)
+    """The pair that `small_run`'s model section describes."""
+    return init_model_pair(*pair_configs(small_run()["model"], vocab_size),
+                           seed=seed)
 
 
 def optim_config(**overrides):
@@ -38,9 +34,12 @@ def optim_config(**overrides):
 
 
 def small_run(total=40, warmup=8, seed=0, **data):
-    """A merged run config with the small schedule and 64-token batches."""
+    """A merged run config with a small model, the small schedule and
+    64-token batches, over `small_corpus`'s languages."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     config["seed"] = seed
+    config["model"].update(hidden_size=16, num_heads=2, gen_layers=1,
+                           disc_layers=2, ffn_size=32)
     config["optim"].update(lr_peak=1e-3, warmup_steps=warmup, total_steps=total)
     config["data"].update({"token_budget": 64, "checkpoint_every": 20, **data})
     return config
@@ -281,6 +280,19 @@ class TestTrainLoop:
                   str(tmp_path / "run"), True)
         assert counter["n"] == 51
 
+    @pytest.mark.parametrize("vocab_delta, model", [
+        (-1, {}), (0, {"hidden_size": 32}), (0, {"disc_layers": 3}),
+    ], ids=["vocab_size", "hidden_size", "disc_layers"])
+    def test_refuses_a_pair_the_config_does_not_describe(self, tmp_path,
+                                                         vocab_delta, model):
+        corpus = small_corpus()
+        models = small_models(len(corpus.vocab) + vocab_delta)
+        config = small_run(total=5, warmup=2)
+        config["model"].update(model)
+        with pytest.raises(ValueError, match="model section and languages"):
+            train(models, corpus, config, str(tmp_path / "run"), True)
+        assert not (tmp_path / "run").exists()
+
     def test_heldout_accuracy_in_unit_interval(self):
         corpus = small_corpus()
         models = small_models(len(corpus.vocab))
@@ -294,7 +306,7 @@ class TestTrainLoop:
 
 class TestCheckpointFiles:
     def saved(self, path, step=0):
-        models = small_models(30)
+        models = small_models(len(small_corpus().vocab))
         optim = Adam(models.all_parameters(), small_optim())
         save_checkpoint(str(path), models, optim, np.random.default_rng(0),
                         step, {"config": small_run(), "use_trtd": True})
@@ -329,6 +341,12 @@ class TestCheckpointFiles:
         (existing / "run_config.json").write_bytes(b"earlier run")
         assert main(["eval", "--checkpoint", path, "--out", str(existing)]) == 2
         assert (existing / "run_config.json").read_bytes() == b"earlier run"
+
+    def test_config_json_holds_only_the_step_and_run_record(self, tmp_path):
+        path = self.saved(tmp_path / "ck", step=4)
+        with open(os.path.join(path, "config.json")) as fh:
+            saved = json.load(fh)
+        assert saved == {"step": 4, "config": small_run(), "use_trtd": True}
 
     def test_checkpoint_without_run_record_is_refused(self, tmp_path, capsys):
         # config.json as written before checkpoints carried the run record
