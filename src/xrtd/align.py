@@ -1,18 +1,19 @@
 """Cross-lingual evaluation: sentence retrieval, word alignment, AER.
 
-Every layer is swept from one encode of each held-out sentence, run under
-`tensor.no_grad` because nothing here takes a gradient. Sentence
-retrieval encodes each side as one PAD-padded batch, mean-pools the content
-tokens of every layer and ranks targets by cosine similarity. Word alignment
-encodes each sentence alone, unpadded, then runs entropic-regularized optimal
-transport between the two sentences' token vectors at every layer and
-extracts mutual-argmax pairs from the transport plan.
+Every layer is swept from one encode of each held-out sentence:
+`content_layers` encodes a side as one PAD-padded batch, under
+`tensor.no_grad` because nothing here takes a gradient, and keeps each
+sentence's content-token states. Sentence retrieval mean-pools those states
+at every layer and ranks targets by cosine similarity. Word alignment reads
+the same states, runs entropic-regularized optimal transport between the two
+sentences' token vectors at every layer and extracts mutual-argmax pairs from
+the transport plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -43,11 +44,12 @@ def aer(aset: AlignmentSet) -> float:
     return 1.0 - hits / denom
 
 
-def pooled_layers(seqs: List[List[int]], params: ModelParams) -> List[np.ndarray]:
-    """Per layer, the mean of each sentence's non-pad, non-special states.
+def content_layers(seqs: List[List[int]], params: ModelParams) -> List[List[np.ndarray]]:
+    """Per layer, the states of each sentence's non-pad, non-special tokens.
 
     `seqs` are encoded once, as one PAD-padded batch; the result holds one
-    (len(seqs), hidden) array per layer, layer 0 being the embedding output.
+    list of (content tokens, hidden) arrays per layer, layer 0 being the
+    embedding output.
     """
     width = max(len(s) for s in seqs)
     ids = np.full((len(seqs), width), PAD, dtype=np.int64)
@@ -59,13 +61,15 @@ def pooled_layers(seqs: List[List[int]], params: ModelParams) -> List[np.ndarray
         raise ValueError(f"sentence {empty[0]} has no content tokens")
     with no_grad():
         encoded = encode(ids, params)
-    layers = []
-    for states in encoded:
-        out = np.zeros((len(seqs), states.shape[-1]), dtype=np.float64)
-        for i in range(len(seqs)):
-            out[i] = states.data[i, content[i]].mean(axis=0)
-        layers.append(out)
-    return layers
+    return [[states.data[i, content[i]] for i in range(len(seqs))]
+            for states in encoded]
+
+
+def pooled_layers(layers: List[List[np.ndarray]]) -> List[np.ndarray]:
+    """Per layer of `content_layers` states, one (sentences, hidden) float64
+    array of sentence means; each mean is taken in the states' dtype."""
+    return [np.array([s.mean(axis=0) for s in sentences], dtype=np.float64)
+            for sentences in layers]
 
 
 def retrieve_acc1(src: np.ndarray, tgt: np.ndarray) -> Tuple[float, int]:
@@ -77,15 +81,11 @@ def retrieve_acc1(src: np.ndarray, tgt: np.ndarray) -> Tuple[float, int]:
     src_norm = np.linalg.norm(src, axis=1)
     tgt_norm = np.linalg.norm(tgt, axis=1)
     excluded = int((src_norm == 0).sum() + (tgt_norm == 0).sum())
-    valid_src = src_norm > 0
     tgt_unit = np.where(tgt_norm[:, None] > 0, tgt / np.maximum(tgt_norm, 1e-300)[:, None], 0.0)
     sims = (src / np.maximum(src_norm, 1e-300)[:, None]) @ tgt_unit.T
-    hits = 0
-    total = 0
-    for i in np.nonzero(valid_src)[0]:
-        total += 1
-        hits += int(np.argmax(sims[i]) == i)
-    return (hits / total if total else 0.0), excluded
+    rows = np.flatnonzero(src_norm > 0)
+    hits = int((sims[rows].argmax(axis=1) == rows).sum())
+    return (hits / len(rows) if len(rows) else 0.0), excluded
 
 
 def sinkhorn_plan(cost: np.ndarray, eps: float, iters: int,
@@ -130,44 +130,38 @@ def ot_align(e_states: np.ndarray, f_states: np.ndarray, eps: float,
     return mutual_argmax_pairs(plan), plan, converged
 
 
-def layer_sweep_retrieval(params: ModelParams, source: List[List[int]],
-                          target: List[List[int]]) -> List[Tuple[int, float, float]]:
+def layer_sweep_retrieval(source: List[List[np.ndarray]],
+                          target: List[List[np.ndarray]]) -> List[Tuple[int, float, float]]:
     """Accuracy@1 per layer in both directions: (layer, en->xx, xx->en).
 
-    The gold target of each source is the one at the same index.
+    `source` and `target` are `content_layers` states; the gold target of
+    each source is the one at the same index.
     """
-    if len(source) != len(target):
+    if len(source[0]) != len(target[0]):
         raise ValueError("source and target counts differ")
-    if len(source) < 2:
+    if len(source[0]) < 2:
         raise ValueError("retrieval needs at least 2 sentence pairs")
-    src = pooled_layers(source, params)
-    tgt = pooled_layers(target, params)
     return [(layer, retrieve_acc1(s, t)[0], retrieve_acc1(t, s)[0])
-            for layer, (s, t) in enumerate(zip(src, tgt))]
+            for layer, (s, t) in enumerate(zip(pooled_layers(source),
+                                               pooled_layers(target)))]
 
 
-def _content_states(ids: Sequence[int], params: ModelParams) -> List[np.ndarray]:
-    """Per layer, the states of one sentence's content tokens (one encode)."""
-    keep = [p for p, t in enumerate(ids) if t not in SPECIAL_IDS]
-    with no_grad():
-        states = encode(np.asarray([list(ids)], dtype=np.int64), params)
-    return [s.data[0][keep].astype(np.float64) for s in states]
-
-
-def layer_sweep_aer(params: ModelParams,
-                    pairs: List[Tuple[List[int], List[int]]],
+def layer_sweep_aer(source: List[List[np.ndarray]], target: List[List[np.ndarray]],
                     gold: List[Tuple[Set[Pair], Set[Pair]]],
                     eps: float, iters: int) -> List[Tuple[int, float]]:
-    """Mean AER per layer over (wrapped e, wrapped f) sentence pairs.
+    """Mean AER per layer over sentence pairs, with gold (sure, possible)
+    content-token index pairs per pair.
 
-    Each sentence is encoded alone, unpadded, and aligned at every layer;
-    states from a padded batch would differ from these in the last bits.
+    `source` and `target` hold the `content_layers` states of the pairs' e
+    and f sentences; eval passes the first sentences of its retrieval encode.
+    Sentences of one length share a batch without padding, so their states
+    equal, bit for bit, those of encoding each alone. Each sentence's states
+    are widened to float64 before the cost is taken.
     """
-    scores: List[List[float]] = [[] for _ in range(params.config.num_layers + 1)]
-    for (e_ids, f_ids), (sure, possible) in zip(pairs, gold):
-        e_layers = _content_states(e_ids, params)
-        f_layers = _content_states(f_ids, params)
-        for layer, (e, f) in enumerate(zip(e_layers, f_layers)):
-            predicted, _, _ = ot_align(e, f, eps, iters)
-            scores[layer].append(aer(AlignmentSet(predicted, sure, possible)))
-    return [(layer, float(np.mean(s))) for layer, s in enumerate(scores)]
+    rows = []
+    for layer, (e_layer, f_layer) in enumerate(zip(source, target)):
+        scores = [aer(AlignmentSet(ot_align(e.astype(np.float64), f.astype(np.float64),
+                                            eps, iters)[0], sure, possible))
+                  for e, f, (sure, possible) in zip(e_layer, f_layer, gold, strict=True)]
+        rows.append((layer, float(np.mean(scores))))
+    return rows

@@ -136,6 +136,8 @@ def _specs(config: Dict) -> List[LanguageSpec]:
 
 
 def _build_corpus(config: Dict) -> Corpus:
+    if config["data"]["n_sentences"] < 1:
+        raise ValueError("n_sentences must be at least 1")
     rng = np.random.default_rng(config["seed"])
     return synth_corpus(_specs(config), config["data"]["n_sentences"], rng)
 
@@ -176,10 +178,15 @@ def cmd_pretrain(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
+    ev = config["eval"]
+    for key, least in (("n_pairs", 2), ("ot_iters", 1)):   # retrieval ranks 2 or more
+        if ev[key] < least:
+            raise ValueError(f"{key} must be at least {least}")
+    if ev["ot_eps"] <= 0:
+        raise ValueError("ot_eps must be positive")
     models, _, _, _, run = load_checkpoint(args.checkpoint)
     _refuse_changed(args.checkpoint, run["config"], config, EVAL_KEYS)
     specs = _specs(config)
-    ev = config["eval"]
     # fresh parallel sentences, never batched for training
     heldout = synth_corpus(specs, ev["n_pairs"],
                            np.random.default_rng(config["seed"] + 7777))
@@ -191,23 +198,22 @@ def cmd_eval(args) -> int:
         if spec.kind == "base":
             continue
         pairs = heldout.parallel[spec.lang]
-        src = [wrap_mono(e) for e, _ in pairs]
-        tgt = [wrap_mono(f) for _, f in pairs]
-        sweep = align.layer_sweep_retrieval(disc, src, tgt)
-        for layer, fwd, bwd in sweep:
-            sweep_rows.append((spec.lang, layer, (fwd + bwd) / 2))
+        # one encode per side; both sweeps read every layer from it
+        src = align.content_layers([wrap_mono(e) for e, _ in pairs], disc)
+        tgt = align.content_layers([wrap_mono(f) for _, f in pairs], disc)
+        sweep = align.layer_sweep_retrieval(src, tgt)
+        sweep_rows += [(spec.lang, layer, (fwd + bwd) / 2) for layer, fwd, bwd in sweep]
         # the first layer with the highest direction-averaged accuracy
         best_layer, fwd, bwd = max(sweep, key=lambda r: (r[1] + r[2]) / 2)
         retrieval_rows.append((spec.lang, "en->xx", best_layer, fwd))
         retrieval_rows.append((spec.lang, "xx->en", best_layer, bwd))
 
-        aligned = pairs[:ALIGNED_PAIRS]
-        gold = [(set(gold_alignment(spec, len(e))),) * 2 for e, _ in aligned]
-        wrapped = [(wrap_mono(e), wrap_mono(f)) for e, f in aligned]
-        aer_sweep = align.layer_sweep_aer(disc, wrapped, gold,
+        gold = [(set(gold_alignment(spec, len(e))),) * 2
+                for e, _ in pairs[:ALIGNED_PAIRS]]
+        aer_sweep = align.layer_sweep_aer([s[:ALIGNED_PAIRS] for s in src],
+                                          [t[:ALIGNED_PAIRS] for t in tgt], gold,
                                           ev["ot_eps"], ev["ot_iters"])
-        for layer, score in aer_sweep:
-            aer_rows.append((spec.lang, layer, score))
+        aer_rows += [(spec.lang, layer, score) for layer, score in aer_sweep]
 
     for name, header, rows in (
             ("retrieval.csv", ["language", "direction", "layer", "accuracy_at_1"],

@@ -81,14 +81,17 @@ class Adam:
     directly to eligible parameters.
     """
 
-    def __init__(self, params: Dict[str, Tensor], config: OptimConfig):
+    def __init__(self, params: Dict[str, Tensor], config: OptimConfig,
+                 moments: Dict[str, np.ndarray] | None = None, t: int = 0):
+        """`moments` (as `state_arrays` names them) and `t` resume a saved run."""
         self.params = dict(params)
         self.config = config
-        self.t = 0
-        self.m = {k: np.zeros_like(p.data, dtype=np.float64)
-                  for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data, dtype=np.float64)
-                  for k, p in self.params.items()}
+        self.t = t
+        if moments is None:
+            moments = {f"{kind}/{name}": np.zeros_like(p.data, dtype=np.float64)
+                       for name, p in self.params.items() for kind in "mv"}
+        self.m = {name: moments["m/" + name] for name in self.params}
+        self.v = {name: moments["v/" + name] for name in self.params}
 
     def step(self, lr: float) -> float:
         """Apply one update; returns the pre-clip global gradient norm."""
@@ -124,12 +127,6 @@ class Adam:
             out["m/" + name] = self.m[name]
             out["v/" + name] = self.v[name]
         return out
-
-    def load_state_arrays(self, arrays: Dict[str, np.ndarray], t: int) -> None:
-        for name in self.params:
-            self.m[name] = arrays["m/" + name].copy()
-            self.v[name] = arrays["v/" + name].copy()
-        self.t = t
 
 
 def _samplers(corpus: Corpus, alpha: float, use_trtd: bool):
@@ -238,12 +235,14 @@ def load_checkpoint(path: str):
                          f"(config and use_trtd in config.json); train it again")
     run = {"config": saved["config"], "use_trtd": saved["use_trtd"]}
     configs = pair_configs(run["config"]["model"], _vocab_size(run["config"]))
-    arrays = _load_checked(os.path.join(path, "params.bin"), pair_layout(*configs))
+    layout = pair_layout(*configs)
+    arrays = _load_checked(os.path.join(path, "params.bin"), layout)
     models = model_pair_from_arrays(*configs, arrays)
-    optimizer = Adam(models.all_parameters(), OptimConfig(**run["config"]["optim"]))
     moments = _load_checked(os.path.join(path, "optim.bin"),
-                            {k: a.shape for k, a in optimizer.state_arrays().items()})
-    optimizer.load_state_arrays(moments, saved["step"])
+                            {f"{kind}/{name}": shape for name, shape in layout.items()
+                             for kind in "mv"})
+    optimizer = Adam(models.all_parameters(), OptimConfig(**run["config"]["optim"]),
+                     moments, saved["step"])
     rng = np.random.default_rng()
     with open(os.path.join(path, "rng.json")) as fh:
         rng.bit_generator.state = json.load(fh)

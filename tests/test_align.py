@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from xrtd.align import (AlignmentSet, aer, layer_sweep_aer,
+from xrtd.align import (AlignmentSet, aer, content_layers, layer_sweep_aer,
                         layer_sweep_retrieval, mutual_argmax_pairs, ot_align,
                         pooled_layers, retrieve_acc1, sinkhorn_plan)
 from xrtd.model import ModelConfig, encode, init_params
@@ -17,11 +17,35 @@ def small_params(vocab_size=40, layers=2, seed=0):
     return init_params(cfg, seed=seed)
 
 
+def pooled(seqs, params):
+    return pooled_layers(content_layers(seqs, params))
+
+
+class TestContentStates:
+    def test_batch_states_equal_single_encodes_bit_for_bit(self):
+        # sentences of one length need no padding, so the batch computes
+        # each sentence's states exactly as an encode of it alone does
+        params = small_params(vocab_size=60, layers=3, seed=2)
+        rng = np.random.default_rng(10)
+        seqs = [wrap_mono(list(rng.integers(5, 60, size=10))) for _ in range(7)]
+        batched = content_layers(seqs, params)
+        assert len(batched) == 4
+        for i, ids in enumerate(seqs):
+            alone = encode(np.array([ids]), params)
+            for layer, states in enumerate(alone):
+                assert np.array_equal(batched[layer][i], states.data[0, 1:-1])
+
+    def test_keeps_content_tokens_only(self):
+        params = small_params()
+        states = content_layers([wrap_mono([7, 9, 11]), wrap_mono([6])], params)
+        assert [s.shape for s in states[1]] == [(3, 16), (1, 16)]
+
+
 class TestSentenceEmbedding:
     def test_single_token_is_its_hidden_state(self):
         params = small_params()
         ids = wrap_mono([7])
-        emb = pooled_layers([ids], params)[1][0]
+        emb = pooled([ids], params)[1][0]
         states = encode(np.array([ids]), params)[1].data
         assert np.allclose(emb, states[0, 1], atol=1e-7)
 
@@ -29,8 +53,8 @@ class TestSentenceEmbedding:
         params = small_params()
         a = wrap_mono([7, 9, 11])
         b = wrap_mono([6, 8])
-        batched = pooled_layers([a, b], params)[2]
-        alone = pooled_layers([b], params)[2][0]
+        batched = pooled([a, b], params)[2]
+        alone = pooled([b], params)[2][0]
         assert np.allclose(batched[1], alone, atol=1e-5)
 
     def test_hand_averaged_three_tokens(self):
@@ -38,20 +62,27 @@ class TestSentenceEmbedding:
         ids = wrap_mono([7, 9, 11])
         states = encode(np.array([ids]), params)[1].data
         manual = states[0, 1:4].mean(axis=0)
-        assert np.allclose(pooled_layers([ids], params)[1][0], manual, atol=1e-6)
+        assert np.allclose(pooled([ids], params)[1][0], manual, atol=1e-6)
+
+    def test_mean_taken_in_the_states_dtype_then_widened(self):
+        states = np.random.default_rng(0).normal(size=(10, 4)).astype(np.float32)
+        means = pooled_layers([[states]])[0]
+        assert means.dtype == np.float64
+        assert np.array_equal(means[0], states.mean(axis=0))
+        assert not np.array_equal(means[0], states.astype(np.float64).mean(axis=0))
 
     def test_all_special_sentence_rejected(self):
         params = small_params()
         with pytest.raises(ValueError, match="sentence 1"):
-            pooled_layers([wrap_mono([7]), [2, 3]], params)
+            content_layers([wrap_mono([7]), [2, 3]], params)
 
 
 class TestRetrieval:
     def test_self_retrieval_is_perfect(self):
         params = small_params()
         sents = [wrap_mono([5 + i, 6 + i]) for i in range(8)]
-        pooled = pooled_layers(sents, params)[1]
-        acc, excluded = retrieve_acc1(pooled, pooled)
+        means = pooled(sents, params)[1]
+        acc, excluded = retrieve_acc1(means, means)
         assert acc == 1.0 and excluded == 0
 
     def test_constructed_fixture_seven_of_ten(self):
@@ -68,8 +99,7 @@ class TestRetrieval:
         rng = np.random.default_rng(1)
         src = [wrap_mono(list(rng.integers(5, 300, size=6))) for _ in range(100)]
         tgt = [wrap_mono(list(rng.integers(5, 300, size=6))) for _ in range(100)]
-        acc, _ = retrieve_acc1(pooled_layers(src, params)[1],
-                               pooled_layers(tgt, params)[1])
+        acc, _ = retrieve_acc1(pooled(src, params)[1], pooled(tgt, params)[1])
         assert acc < 0.15
 
     def test_scaling_invariance(self):
@@ -90,10 +120,12 @@ class TestRetrieval:
 
     def test_task_validation(self):
         params = small_params()
+        one = content_layers([[2, 5, 3]], params)
+        two = content_layers([[2, 5, 3], [2, 6, 3]], params)
         with pytest.raises(ValueError, match="counts differ"):
-            layer_sweep_retrieval(params, [[2, 5, 3]], [[2, 5, 3], [2, 6, 3]])
+            layer_sweep_retrieval(one, two)
         with pytest.raises(ValueError, match="at least 2"):
-            layer_sweep_retrieval(params, [[2, 5, 3]], [[2, 5, 3]])
+            layer_sweep_retrieval(one, one)
 
 
 class TestSinkhorn:
@@ -204,8 +236,8 @@ class TestAer:
 class TestLayerSweeps:
     def test_retrieval_sweep_has_row_per_layer(self):
         params = small_params(layers=3)
-        sents = [wrap_mono([5 + i, 7 + i]) for i in range(6)]
-        rows = layer_sweep_retrieval(params, sents, sents)
+        sents = content_layers([wrap_mono([5 + i, 7 + i]) for i in range(6)], params)
+        rows = layer_sweep_retrieval(sents, sents)
         assert [r[0] for r in rows] == [0, 1, 2, 3]
         assert all(0.0 <= acc <= 1.0 for r in rows for acc in r[1:])
         assert rows[0][1:] == (1.0, 1.0)   # self-retrieval at the embedding layer
@@ -215,17 +247,19 @@ class TestLayerSweeps:
         rng = np.random.default_rng(9)
         src = [wrap_mono(list(rng.integers(5, 60, size=4))) for _ in range(12)]
         tgt = [wrap_mono(list(rng.integers(5, 60, size=3))) for _ in range(12)]
-        rows = layer_sweep_retrieval(params, src, tgt)
-        for (_, fwd, bwd), s, t in zip(rows, pooled_layers(src, params),
-                                       pooled_layers(tgt, params)):
+        rows = layer_sweep_retrieval(content_layers(src, params),
+                                     content_layers(tgt, params))
+        for (_, fwd, bwd), s, t in zip(rows, pooled(src, params),
+                                       pooled(tgt, params)):
             assert fwd == retrieve_acc1(s, t)[0]
             assert bwd == retrieve_acc1(t, s)[0]
 
     def test_aer_sweep_has_row_per_layer(self):
         params = small_params(layers=2)
-        pairs = [(wrap_mono([5, 6, 7]), wrap_mono([8, 9, 10]))]
+        e = content_layers([wrap_mono([5, 6, 7])], params)
+        f = content_layers([wrap_mono([8, 9, 10])], params)
         gold = [({(0, 0), (1, 1), (2, 2)}, {(0, 0), (1, 1), (2, 2)})]
-        rows = layer_sweep_aer(params, pairs, gold, eps=0.1, iters=200)
+        rows = layer_sweep_aer(e, f, gold, eps=0.1, iters=200)
         assert [r[0] for r in rows] == [0, 1, 2]
         assert all(0.0 <= r[1] <= 1.0 for r in rows)
 
@@ -234,9 +268,8 @@ class TestLayerSweeps:
         # tokens from 0, so keeping BOS/EOS would shift every predicted pair
         # off the gold ones
         params = small_params(layers=2)
-        e = wrap_mono([5, 9, 13, 17])
-        f = wrap_mono([17, 13, 9, 5])
+        e = content_layers([wrap_mono([5, 9, 13, 17])], params)
+        f = content_layers([wrap_mono([17, 13, 9, 5])], params)
         gold = {(i, 3 - i) for i in range(4)}
-        rows = layer_sweep_aer(params, [(e, f)], [(gold, gold)],
-                               eps=0.1, iters=2000)
+        rows = layer_sweep_aer(e, f, [(gold, gold)], eps=0.1, iters=2000)
         assert rows == [(0, 0.0), (1, 0.0), (2, 0.0)]

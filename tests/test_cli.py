@@ -5,8 +5,7 @@ import os
 import pytest
 
 from xrtd import align
-from xrtd.cli import (ALIGNED_PAIRS, ConfigError, DEFAULT_CONFIG, load_config,
-                      main)
+from xrtd.cli import ConfigError, DEFAULT_CONFIG, load_config, main
 
 AX_LANGUAGES = [{"lang": "en", "kind": "base", "seed": 0},
                 {"lang": "ax", "kind": "affix", "seed": 1}]
@@ -110,7 +109,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("key, value, named", [
         ("alpha", 0, "alpha"),
-        ("n_sentences", 0, "counts"),
+        ("n_sentences", 0, "n_sentences"),
         ("token_budget", 0, "token_budget"),
         ("mask_ratio", 1.5, "mask_ratio"),
     ], ids=["alpha", "n_sentences", "token_budget", "mask_ratio"])
@@ -127,6 +126,17 @@ class TestErrors:
         assert err.startswith('error code=ValueError msg="')
         assert not (out / "run_config.json").exists()
         assert not (out / "metrics.csv").exists()
+
+    def test_synth_refuses_zero_sentences_before_any_output(self, tmp_path, capsys):
+        overrides = json.loads(json.dumps(TINY_OVERRIDES))
+        overrides["data"]["n_sentences"] = 0
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "corpus"
+        code = main(["synth", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n_sentences" in err
+        assert not out.exists()
 
     def test_missing_checkpoint_exits_two(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "missing"),
@@ -293,10 +303,28 @@ class TestPretrainEval:
             aer_rows = list(csv.DictReader(fh))
         assert all(0.0 <= float(r["aer"]) <= 1.0 for r in aer_rows)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_pairs", 1), ("ot_eps", 0), ("ot_eps", -0.1), ("ot_iters", 0),
+    ], ids=["n_pairs", "ot_eps_zero", "ot_eps_negative", "ot_iters"])
+    def test_eval_refuses_bad_eval_section_before_any_output(self, run_dir,
+                                                             tmp_path, capsys,
+                                                             key, value):
+        _, _, out = run_dir
+        overrides = json.loads(json.dumps(TINY_OVERRIDES))
+        overrides["eval"][key] = value
+        cfg = write_config(tmp_path, overrides, "changed.json")
+        code = main(["eval", "--config", cfg, "--checkpoint",
+                     str(out / "ckpt_final"), "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert err.startswith('error code=ValueError msg="')
+        assert not (tmp_path / "e" / "run_config.json").exists()
+
     def test_eval_encodes_each_sentence_once_per_sweep(self, run_dir, tmp_path,
                                                        monkeypatch):
-        # retrieval encodes each side once as a batch; alignment encodes
-        # each aligned sentence once, alone
+        # each side is encoded once, as a batch; the retrieval and the
+        # alignment sweeps both read every layer from those states
         _, cfg, out = run_dir
         calls = []
         encode = align.encode
@@ -308,9 +336,7 @@ class TestPretrainEval:
         assert main(["eval", "--config", cfg, "--checkpoint",
                      str(out / "ckpt_final"), "--out", str(tmp_path / "e")]) == 0
         n_pairs = TINY_OVERRIDES["eval"]["n_pairs"]
-        aligned = min(n_pairs, ALIGNED_PAIRS)
-        assert len(calls) == 2 + 2 * aligned   # one non-base language
-        assert calls[:2] == [n_pairs, n_pairs]
+        assert calls == [n_pairs, n_pairs]   # one non-base language
 
     def test_eval_encodes_without_a_tape(self, run_dir, tmp_path, monkeypatch):
         _, cfg, out = run_dir

@@ -1,0 +1,79 @@
+"""Hash every output of a fixed set of short CLI runs.
+
+Two checkouts that print the same lines write byte-identical outputs:
+
+    python tools/equivalence.py > after.txt    # in each checkout, then diff
+
+The runs use the `src/` next to this script, seed 301 and 12 training steps
+with a checkpoint every 6: `synth`, `pretrain`, `pretrain --resume` from
+step 6, `pretrain --no-trtd`, and `eval` of the full run's final checkpoint
+at 20 and at 300 held-out pairs. They run in a temporary directory with
+BLAS pinned to one thread. Each output file, the input configs and each
+command's stdout are printed as `sha256  path`, the path relative to that
+directory.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+CONFIG = {"seed": 301, "optim": {"total_steps": 12, "warmup_steps": 3},
+          "data": {"checkpoint_every": 6}, "eval": {"n_pairs": 20}}
+LEGS = {
+    "synth": ["synth", "--config", "config_20.json", "--out", "synth"],
+    "full": ["pretrain", "--config", "config_20.json", "--out", "full"],
+    "resumed": ["pretrain", "--config", "config_20.json", "--out", "resumed",
+                "--resume", os.path.join("full", "ckpt_6")],
+    "ablated": ["pretrain", "--config", "config_20.json", "--out", "ablated",
+                "--no-trtd"],
+    "eval_20": ["eval", "--config", "config_20.json", "--out", "eval_20",
+                "--checkpoint", os.path.join("full", "ckpt_final")],
+    "eval_300": ["eval", "--config", "config_300.json", "--out", "eval_300",
+                 "--checkpoint", os.path.join("full", "ckpt_final")],
+}
+
+
+def run_legs(work: str) -> None:
+    """Write the configs and every leg's outputs and stdout under `work`."""
+    for n_pairs in (20, 300):
+        with open(os.path.join(work, f"config_{n_pairs}.json"), "w") as fh:
+            json.dump({**CONFIG, "eval": {"n_pairs": n_pairs}}, fh)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(SRC)}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    for name, argv in LEGS.items():
+        done = subprocess.run([sys.executable, "-m", "xrtd.cli", *argv], cwd=work,
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"{name} exited {done.returncode}: {done.stderr.strip()}")
+        with open(os.path.join(work, f"{name}.stdout"), "w") as fh:
+            fh.write(done.stdout)
+
+
+def digests(work: str):
+    """(sha256, relative path) of every file under `work`, sorted by path."""
+    found = []
+    for root, _, files in os.walk(work):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                found.append((hashlib.sha256(fh.read()).hexdigest(),
+                              os.path.relpath(path, work)))
+    return sorted(found, key=lambda item: item[1])
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="xrtd-equivalence-") as work:
+        run_legs(work)
+        for digest, path in digests(work):
+            print(f"{digest}  {path}")
+
+
+if __name__ == "__main__":
+    main()
