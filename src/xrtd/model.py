@@ -16,8 +16,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .tensor import (Tensor, embedding, get_default_dtype, layer_norm, matmul,
-                     softmax)
+from .tensor import (Tensor, embedding, get_default_dtype, layer_norm, linear,
+                     matmul, softmax)
 
 PAD_ID = 0
 
@@ -144,7 +144,7 @@ def attention_weights(h: Tensor, params: ModelParams, layer: int,
     p = f"layer{layer}."
 
     def project(name):
-        x = matmul(h, params[p + f"attn.w{name}"]) + params[p + f"attn.b{name}"]
+        x = linear(h, params[p + f"attn.w{name}"], params[p + f"attn.b{name}"])
         return x.reshape((b, n, heads, dk)).transpose((0, 2, 1, 3))
 
     q, k_, v = project("q"), project("k"), project("v")
@@ -168,7 +168,7 @@ def _attention(h: Tensor, params: ModelParams, layer: int,
     attn, v = attention_weights(h, params, layer, key_mask)
     out = matmul(attn, v).transpose((0, 2, 1, 3)).reshape((b, n, d))
     p = f"layer{layer}."
-    return matmul(out, params[p + "attn.wo"]) + params[p + "attn.bo"]
+    return linear(out, params[p + "attn.wo"], params[p + "attn.bo"])
 
 
 def encode(ids: np.ndarray, params: ModelParams,
@@ -194,8 +194,8 @@ def encode(ids: np.ndarray, params: ModelParams,
         p = f"layer{layer}."
         h = layer_norm(h + _attention(h, params, layer, key_mask),
                        params[p + "ln1.g"], params[p + "ln1.b"])
-        f = matmul(h, params[p + "ffn.w1"]) + params[p + "ffn.b1"]
-        f = matmul(f.gelu(), params[p + "ffn.w2"]) + params[p + "ffn.b2"]
+        f = linear(h, params[p + "ffn.w1"], params[p + "ffn.b1"])
+        f = linear(f.gelu(), params[p + "ffn.w2"], params[p + "ffn.b2"])
         h = layer_norm(h + f, params[p + "ln2.g"], params[p + "ln2.b"])
         states.append(h)
     return states
@@ -208,13 +208,13 @@ def final_hidden(h: Tensor, params: ModelParams) -> Tensor:
 def mlm_logits(h: Tensor, params: ModelParams) -> Tensor:
     """Vocabulary logits via the tied embedding table; `h` is [..., d_h]."""
     hn = final_hidden(h, params)
-    return matmul(hn, params["embed"].transpose((1, 0))) + params["mlm_bias"]
+    return linear(hn, params["embed"].transpose((1, 0)), params["mlm_bias"])
 
 
 def rtd_logits(h: Tensor, params: ModelParams) -> Tensor:
     """Replaced-vs-original logit per position; output drops the unit dim."""
     hn = final_hidden(h, params)
-    out = matmul(hn, params["rtd_w"]) + params["rtd_b"]
+    out = linear(hn, params["rtd_w"], params["rtd_b"])
     return out.reshape(out.shape[:-1])
 
 

@@ -11,6 +11,13 @@ the attention score scale and the gated bias's `1.0 - g_up` make every encoder
 layer after the embedding compute in float64. ROADMAP item 2 holds the fix.
 Gradient checking switches the default element type to float64 via
 `using_dtype`. Inference runs under `no_grad`, where results join no tape.
+
+`backward` consumes the tape it walks: as it runs each node's closure it
+drops the node's closure, its parents and, unless the node is a leaf, its
+`.grad`, so a step's activations die while its backward runs. Only leaves
+(parameters and other tensors created with `requires_grad=True`) keep
+`.grad`. `backward` therefore runs once per forward; a second call over the
+same graph raises `GradError`.
 """
 
 from __future__ import annotations
@@ -83,14 +90,16 @@ class Tensor:
     """A dense array participating in a dynamically built gradient tape.
 
     Only tensors created with `requires_grad=True` (and results derived from
-    them) receive gradients; plain constants never allocate grad buffers.
+    them) receive gradients; plain constants never allocate grad buffers, and
+    once `backward` has walked a result, only the leaves keep theirs.
     Every op builds its result here with its inputs as `parents` and its
     gradient closure as `backward_fn`; the constructor keeps both only when
     some parent requires grad and no `no_grad` context is active, so this is
     the one place a node joins the tape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple = (), backward_fn: Callable | None = None):
@@ -150,8 +159,10 @@ class Tensor:
         other = _as_tensor(other)
 
         def bw(g):
-            self._accumulate(g * other.data)
-            other._accumulate(g * self.data)
+            if self.requires_grad:
+                self._accumulate(g * other.data)
+            if other.requires_grad:
+                other._accumulate(g * self.data)
         return Tensor(self.data * other.data, parents=(self, other), backward_fn=bw)
 
     __rmul__ = __mul__
@@ -218,9 +229,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(a: Tensor, b) -> Tensor:
-    """Matrix product with optional leading batch dimensions."""
-    b = _as_tensor(b)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError(
             f"matmul requires >=2-d operands, got {a.data.shape} and {b.data.shape}")
@@ -228,10 +237,33 @@ def matmul(a: Tensor, b) -> Tensor:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
 
+
+def matmul(a: Tensor, b) -> Tensor:
+    """Matrix product with optional leading batch dimensions."""
+    b = _as_tensor(b)
+    _check_matmul(a, b)
+
     def bw(g):
         a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
         b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
     return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward_fn=bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`matmul(x, w) + b` as one tape node, with the same arithmetic.
+
+    The forward and each gradient are the numpy calls of the two-node form,
+    in its order: b first, then x, then w (summed over x's batch axes).
+    Only the sum is kept; the product before the bias is not.
+    """
+    _check_matmul(x, w)
+
+    def bw(g):
+        b._accumulate(g)
+        x._accumulate(np.matmul(g, np.swapaxes(w.data, -1, -2)))
+        w._accumulate(np.matmul(np.swapaxes(x.data, -1, -2), g))
+    return Tensor(np.matmul(x.data, w.data) + b.data, parents=(x, w, b),
+                  backward_fn=bw)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -322,7 +354,14 @@ def binary_cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of `loss` w.r.t. every contributing trainable tensor."""
+    """Populate gradients of `loss` w.r.t. every contributing trainable tensor.
+
+    The tape is consumed: each node, once its closure has run, loses its
+    closure, its parents and (unless it is a leaf) its `.grad`, so the graph
+    is freed as it is walked. Leaves keep `.grad`; `loss.data` stays. Call it
+    once per forward: a graph that a backward has already walked, in whole
+    or in part, raises `GradError` before any gradient is touched.
+    """
     if loss.data.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -335,15 +374,23 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise GradError("backward already ran over this graph; "
+                            "run the forward again")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward_fn is None:
+            continue                  # a leaf: it keeps its .grad
+        if node.grad is not None:
             node._backward_fn(node.grad)
+        # parents None mark a node that a backward has walked
+        node._backward_fn = node._parents = node.grad = None
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -1,12 +1,14 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from xrtd.tensor import (DimensionError, GradError, Tensor, backward,
                          binary_cross_entropy_with_logits, embedding,
-                         gather_rows, layer_norm, matmul, no_grad, softmax,
-                         softmax_cross_entropy, using_dtype, zero_grads)
+                         gather_rows, layer_norm, linear, matmul, no_grad,
+                         softmax, softmax_cross_entropy, using_dtype,
+                         zero_grads)
 
 
 def fd_grad(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -66,6 +68,49 @@ class TestMatmul:
             numeric = fd_grad(lambda: float(np.matmul(a.data, b.data).sum()),
                               b.data)
             assert np.allclose(b.grad, numeric, rtol=1e-5, atol=1e-8)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    def test_equals_matmul_plus_bias_bit_for_bit(self, x_dtype):
+        # the model feeds float32 weights float32 or float64 activations
+        rng = np.random.default_rng(11)
+        x_data = rng.normal(size=(2, 5, 4)).astype(x_dtype)
+        w_data = rng.normal(size=(4, 3)).astype(np.float32)
+        b_data = rng.normal(size=(3,)).astype(np.float32)
+        weights = rng.normal(size=(2, 5, 3)).astype(x_dtype)
+
+        def run(fused):
+            x, w, b = (Tensor(a.copy(), requires_grad=True)
+                       for a in (x_data, w_data, b_data))
+            out = linear(x, w, b) if fused else matmul(x, w) + b
+            backward((out * Tensor(weights)).sum())
+            return [out.data, x.grad, w.grad, b.grad]
+
+        for fused, plain in zip(run(True), run(False)):
+            assert fused.dtype == plain.dtype
+            assert np.array_equal(fused, plain)
+
+    def test_gradient_matches_finite_differences(self):
+        with using_dtype(np.float64):
+            rng = np.random.default_rng(12)
+            x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+            w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+            b = Tensor(rng.normal(size=(2,)), requires_grad=True)
+
+            def graph():
+                return linear(x, w, b).gelu().sum()
+
+            backward(graph())
+            for t in (x, w, b):
+                numeric = fd_grad(lambda: graph().item(), t.data)
+                denom = np.maximum(np.maximum(np.abs(numeric), np.abs(t.grad)), 1e-4)
+                assert (np.abs(t.grad - numeric) / denom).max() < 1e-4
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))),
+                   Tensor(np.zeros(2)))
 
 
 class TestSoftmaxCrossEntropy:
@@ -168,6 +213,38 @@ class TestBackward:
         assert np.allclose(combined, 2.0 * grad_of(1.0, 0.0) + 3.0 * grad_of(0.0, 1.0),
                            rtol=1e-6)
 
+    def test_backward_frees_the_tape(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        s = softmax(matmul(x, w))
+        loss = (s * s).sum()
+        value = loss.data.copy()
+        node = weakref.ref(s)
+        del s
+        assert node() is not None          # the loss's tape holds it
+        backward(loss)
+        assert node() is None
+        assert x.grad is not None and w.grad is not None
+        assert loss.grad is None and np.array_equal(loss.data, value)
+
+    def test_second_backward_over_a_walked_graph_raises(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        loss = (x * x).sum()
+        backward(loss)
+        with pytest.raises(GradError, match="already ran"):
+            backward(loss)
+
+    def test_backward_over_a_partly_walked_graph_raises(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        y = Tensor(np.array([3.0]), requires_grad=True)
+        shared = x * x
+        backward(shared.sum())
+        zero_grads([x, y])
+        with pytest.raises(GradError, match="already ran"):
+            backward((y * y).sum() + shared.sum())
+        assert x.grad is None and y.grad is None
+
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(7)
@@ -193,6 +270,7 @@ TAPE_OPS = {
     "sigmoid": (lambda a: a.sigmoid(), [(2, 3)]),
     "gelu": (lambda a: a.gelu(), [(2, 3)]),
     "matmul": (matmul, [(2, 3), (3, 2)]),
+    "linear": (linear, [(2, 3), (3, 2), (2,)]),
     "embedding": (lambda w: embedding(w, np.array([0, 1, 1])), [(2, 3)]),
     "gather_rows": (lambda x: gather_rows(x, np.array([0, 1]), np.array([2, 0])),
                     [(2, 3, 4)]),

@@ -1,5 +1,6 @@
 import copy
 import csv
+import gc
 import json
 import math
 import os
@@ -12,10 +13,12 @@ from xrtd import serialize
 from xrtd.cli import DEFAULT_CONFIG, main
 from xrtd.corpus import LanguageSpec, synth_corpus
 from xrtd.model import init_model_pair, pair_configs
-from xrtd.tensor import Tensor
+from xrtd.objectives import joint_loss
+from xrtd.tensor import Tensor, backward, zero_grads
 from xrtd.trainer import (METRICS_COLUMNS, Adam, DivergenceError, OptimConfig,
-                          _decays, heldout_disc_accuracy, load_checkpoint,
-                          lr_at, save_checkpoint, train)
+                          _decays, _draw_batches, check_run,
+                          heldout_disc_accuracy, load_checkpoint, lr_at,
+                          save_checkpoint, train)
 
 
 def small_corpus(seed=0, n=60):
@@ -196,6 +199,31 @@ class TestTrainLoop:
                    if not np.array_equal(t.data, before[k])}
         assert any(k.startswith("gen.layer") for k in changed)
         assert any(k.startswith("disc.layer") for k in changed)
+
+    def test_steps_leave_only_parameters_and_the_last_loss_alive(self):
+        def live_tensors():
+            gc.collect()
+            return [o for o in gc.get_objects() if isinstance(o, Tensor)]
+
+        before = live_tensors()     # held, so no id below is reused
+        known = {id(t) for t in before}
+        corpus = small_corpus()
+        models = small_models(len(corpus.vocab))
+        run = small_run()
+        optim_cfg, mono, pair = check_run(models, corpus, run, True)
+        named = models.all_parameters()
+        optimizer = Adam(named, optim_cfg)
+        rng = np.random.default_rng(0)
+        for step in range(2):
+            batches = _draw_batches(mono, pair, run["data"]["token_budget"],
+                                    run["data"]["mask_ratio"], rng)
+            total, _ = joint_loss(*batches, models, optim_cfg.lam, rng)
+            zero_grads(named.values())
+            backward(total)
+            optimizer.step(lr_at(step + 1, optim_cfg))
+        new = {id(t) for t in live_tensors() if id(t) not in known}
+        assert new == {id(t) for t in named.values()} | {id(total)}
+        assert all(t.grad is not None for t in named.values())
 
     def test_metrics_csv_layout(self, tmp_path):
         corpus = small_corpus()
