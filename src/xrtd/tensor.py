@@ -1,21 +1,34 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: numpy arrays wrapped in a `Tensor` that
-records a dynamic tape of closures. Broadcasting is supported for scalar and
-trailing-dimension cases (numpy semantics with gradient un-broadcasting).
-Parameters are created in the default element type, float32, but activations
-do not stay float32. `_as_tensor` wraps a Python scalar operand as a 0-d
-float64 array; NumPy 2 (NEP 50) promotes a float32 operand to float64 against
-it, while NumPy 1.x, with value-based casting, keeps float32. So under NumPy 2
-the attention score scale and the gated bias's `1.0 - g_up` make every encoder
-layer after the embedding compute in float64. ROADMAP item 2 holds the fix.
-Gradient checking switches the default element type to float64 via
-`using_dtype`. Inference runs under `no_grad`, where results join no tape.
+The engine is deliberately small: numpy arrays wrapped in a `Tensor`, and a
+dynamic tape of `Node`s that backward walks. Broadcasting is supported for
+scalar and trailing-dimension cases (numpy semantics with gradient
+un-broadcasting). Parameters are created in the default element type,
+float32, but activations do not stay float32. `_as_tensor` wraps a Python
+scalar operand as a 0-d float64 array; NumPy 2 (NEP 50) promotes a float32
+operand to float64 against it, while NumPy 1.x, with value-based casting,
+keeps float32. So under NumPy 2 the attention score scale and the gated
+bias's `1.0 - g_up` make every encoder layer after the embedding compute in
+float64. ROADMAP item 2 holds the fix. Gradient checking switches the default
+element type to float64 via `using_dtype`. Inference runs under `no_grad`,
+where results join no tape.
+
+What code holds and what the tape holds are separate. A `Tensor` holds its
+values (`data`) and a link to its `Node`, or None if it requires no
+gradient. A node holds the gradient slot (`Tensor.grad` reads and writes
+it), the nodes of the trainable inputs, the backward closure, and the
+tensor's shape and dtype; it holds no values. A closure captures the input
+nodes it feeds and only the arrays its backward reads, and each such array
+only if the input that needs it has a node: `mul` keeps `other.data` only if
+`self` has a node, `softmax` keeps its output, and `gelu` keeps its input
+and recomputes the rest in the backward with the same numpy calls. Every
+other value, an intermediate included, dies as soon as code drops its
+`Tensor`.
 
 `backward` consumes the tape it walks: as it runs each node's closure it
 drops the node's closure, its parents and, unless the node is a leaf, its
-`.grad`, so a step's activations die while its backward runs. Only leaves
-(parameters and other tensors created with `requires_grad=True`) keep
+gradient, so the arrays the closures kept die while the backward runs. Only
+leaves (parameters and other tensors created with `requires_grad=True`) keep
 `.grad`. `backward` therefore runs once per forward; a second call over the
 same graph raises `GradError`.
 """
@@ -60,10 +73,10 @@ def using_dtype(dtype):
 
 @contextlib.contextmanager
 def no_grad():
-    """Build no tape inside: results record no parents and no backward function.
+    """Build no tape inside: results get no node.
 
-    Forward values are computed exactly as with the tape; only the closures
-    and the references that keep intermediate arrays alive are dropped.
+    Forward values are computed exactly as with the tape; only the nodes, and
+    the arrays their closures would keep alive, are not made.
     """
     global _GRAD_ENABLED
     previous, _GRAD_ENABLED = _GRAD_ENABLED, False
@@ -86,20 +99,48 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    """A dense array participating in a dynamically built gradient tape.
+class Node:
+    """The tape's record of one trainable tensor.
 
-    Only tensors created with `requires_grad=True` (and results derived from
-    them) receive gradients; plain constants never allocate grad buffers, and
-    once `backward` has walked a result, only the leaves keep theirs.
-    Every op builds its result here with its inputs as `parents` and its
-    gradient closure as `backward_fn`; the constructor keeps both only when
-    some parent requires grad and no `no_grad` context is active, so this is
-    the one place a node joins the tape.
+    It holds the gradient slot, the nodes of the trainable inputs
+    (`parents`), the closure that passes this node's gradient on to them,
+    and the tensor's shape and dtype, which are all `accumulate` needs to fit
+    a contribution. A leaf has no parents and no closure. It holds no values:
+    whatever arrays the backward reads, the closure captured.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
+    __slots__ = ("grad", "parents", "backward_fn", "shape", "dtype",
                  "__weakref__")
+
+    def __init__(self, parents: tuple, backward_fn: Callable | None,
+                 shape: tuple, dtype):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.shape = shape
+        self.dtype = dtype
+
+    def accumulate(self, g: np.ndarray) -> None:
+        g = _unbroadcast(g, self.shape)
+        if g.dtype != self.dtype:
+            g = g.astype(self.dtype)
+        self.grad = g if self.grad is None else self.grad + g
+
+
+class Tensor:
+    """A dense array and, if it requires a gradient, its tape node.
+
+    Only tensors created with `requires_grad=True` (and results derived from
+    them) get a node; plain constants never hold a gradient, and once
+    `backward` has walked a result, only the leaves keep theirs. Every op
+    builds its result here with its input tensors as `parents` and its
+    gradient closure as `backward_fn`; the constructor makes a node, linked
+    to the inputs' nodes, only when some input has one and no `no_grad`
+    context is active, so this is the one place a result joins the tape. The
+    result keeps neither its inputs nor the closure; its node does.
+    """
+
+    __slots__ = ("data", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple = (), backward_fn: Callable | None = None):
@@ -107,11 +148,29 @@ class Tensor:
         if arr.dtype.type not in (np.float32, np.float64):
             arr = arr.astype(_DEFAULT_DTYPE)
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or (
-            _GRAD_ENABLED and any(p.requires_grad for p in parents))
-        self._parents = parents if self.requires_grad else ()
-        self._backward_fn = backward_fn if self.requires_grad else None
+        self.node: Node | None = None
+        if requires_grad:
+            self.node = Node((), None, arr.shape, arr.dtype)
+        elif _GRAD_ENABLED:
+            nodes = tuple(p.node for p in parents if p.node is not None)
+            if nodes:
+                self.node = Node(nodes, backward_fn, arr.shape, arr.dtype)
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The node's gradient slot; always None for a tensor without one."""
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self.node is not None:
+            self.node.grad = value
+        elif value is not None:
+            raise GradError("a tensor that requires no gradient holds none")
 
     @property
     def shape(self) -> tuple:
@@ -127,29 +186,26 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        g = _unbroadcast(g, self.data.shape)
-        if g.dtype != self.data.dtype:
-            g = g.astype(self.data.dtype)
-        self.grad = g if self.grad is None else self.grad + g
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
         other = _as_tensor(other)
+        a, b = self.node, other.node
 
         def bw(g):
-            self._accumulate(g)
-            other._accumulate(g)
+            if a is not None:
+                a.accumulate(g)
+            if b is not None:
+                b.accumulate(g)
         return Tensor(self.data + other.data, parents=(self, other), backward_fn=bw)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
+        a = self.node
+
         def bw(g):
-            self._accumulate(-g)
+            a.accumulate(-g)
         return Tensor(-self.data, parents=(self,), backward_fn=bw)
 
     def __rsub__(self, other) -> "Tensor":
@@ -157,12 +213,15 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = _as_tensor(other)
+        a, b = self.node, other.node
+        b_data = other.data if a is not None else None
+        a_data = self.data if b is not None else None
 
         def bw(g):
-            if self.requires_grad:
-                self._accumulate(g * other.data)
-            if other.requires_grad:
-                other._accumulate(g * self.data)
+            if a is not None:
+                a.accumulate(g * b_data)
+            if b is not None:
+                b.accumulate(g * a_data)
         return Tensor(self.data * other.data, parents=(self, other), backward_fn=bw)
 
     __rmul__ = __mul__
@@ -170,25 +229,30 @@ class Tensor:
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, shape) -> "Tensor":
+        a = self.node
+
         def bw(g):
-            self._accumulate(g.reshape(self.data.shape))
+            a.accumulate(g.reshape(a.shape))
         return Tensor(self.data.reshape(shape), parents=(self,), backward_fn=bw)
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
         inverse = tuple(np.argsort(axes))
+        a = self.node
 
         def bw(g):
-            self._accumulate(g.transpose(inverse))
+            a.accumulate(g.transpose(inverse))
         return Tensor(self.data.transpose(axes), parents=(self,), backward_fn=bw)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+        a = self.node
+
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape))
+            a.accumulate(np.broadcast_to(g, a.shape))
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
                       parents=(self,), backward_fn=bw)
 
@@ -196,24 +260,37 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         y = _sigmoid(self.data)
+        a = self.node
 
         def bw(g):
-            self._accumulate(g * y * (1.0 - y))
+            a.accumulate(g * y * (1.0 - y))
         return Tensor(y, parents=(self,), backward_fn=bw)
 
     def gelu(self) -> "Tensor":
-        """Tanh-form GELU approximation."""
-        c = math.sqrt(2.0 / math.pi)
+        """Tanh-form GELU approximation.
+
+        The backward keeps only the input: it recomputes `x*x` and the tanh
+        with the forward's numpy calls, so both come out bit-equal.
+        """
         x = self.data
-        x_sq = x * x
-        inner = c * (x + 0.044715 * x_sq * x)
-        t = np.tanh(inner)
+        _, t = _gelu_terms(x)
+        a = self.node
 
         def bw(g):
-            d_inner = c * (1.0 + 3 * 0.044715 * x_sq)
+            x_sq, t = _gelu_terms(x)
+            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x_sq)
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-            self._accumulate(g * local)
+            a.accumulate(g * local)
         return Tensor(0.5 * x * (1.0 + t), parents=(self,), backward_fn=bw)
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _gelu_terms(x: np.ndarray) -> tuple:
+    """(x*x, tanh(c * (x + 0.044715 * x^3))) for `Tensor.gelu`."""
+    x_sq = x * x
+    return x_sq, np.tanh(_GELU_C * (x + 0.044715 * x_sq * x))
 
 
 def _as_tensor(value) -> Tensor:
@@ -242,10 +319,15 @@ def matmul(a: Tensor, b) -> Tensor:
     """Matrix product with optional leading batch dimensions."""
     b = _as_tensor(b)
     _check_matmul(a, b)
+    a_node, b_node = a.node, b.node
+    b_data = b.data if a_node is not None else None
+    a_data = a.data if b_node is not None else None
 
     def bw(g):
-        a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
+        if a_node is not None:
+            a_node.accumulate(np.matmul(g, np.swapaxes(b_data, -1, -2)))
+        if b_node is not None:
+            b_node.accumulate(np.matmul(np.swapaxes(a_data, -1, -2), g))
     return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward_fn=bw)
 
 
@@ -257,11 +339,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Only the sum is kept; the product before the bias is not.
     """
     _check_matmul(x, w)
+    x_node, w_node, b_node = x.node, w.node, b.node
+    w_data = w.data if x_node is not None else None
+    x_data = x.data if w_node is not None else None
 
     def bw(g):
-        b._accumulate(g)
-        x._accumulate(np.matmul(g, np.swapaxes(w.data, -1, -2)))
-        w._accumulate(np.matmul(np.swapaxes(x.data, -1, -2), g))
+        if b_node is not None:
+            b_node.accumulate(g)
+        if x_node is not None:
+            x_node.accumulate(np.matmul(g, np.swapaxes(w_data, -1, -2)))
+        if w_node is not None:
+            w_node.accumulate(np.matmul(np.swapaxes(x_data, -1, -2), g))
     return Tensor(np.matmul(x.data, w.data) + b.data, parents=(x, w, b),
                   backward_fn=bw)
 
@@ -272,11 +360,12 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= weight.data.shape[0]):
         raise IndexError(
             f"id out of range for table of {weight.data.shape[0]} rows")
+    w_node = weight.node
 
     def bw(g):
-        gw = np.zeros_like(weight.data)
+        gw = np.zeros(w_node.shape, w_node.dtype)
         np.add.at(gw, ids, g)
-        weight._accumulate(gw)
+        w_node.accumulate(gw)
     return Tensor(weight.data[ids], parents=(weight,), backward_fn=bw)
 
 
@@ -284,20 +373,22 @@ def gather_rows(x: Tensor, index0: np.ndarray, index1: np.ndarray) -> Tensor:
     """Select rows x[index0[t], index1[t]] from a stacked [B, n, ...] tensor."""
     index0 = np.asarray(index0)
     index1 = np.asarray(index1)
+    x_node = x.node
 
     def bw(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x_node.shape, x_node.dtype)
         np.add.at(gx, (index0, index1), g)
-        x._accumulate(gx)
+        x_node.accumulate(gx)
     return Tensor(x.data[index0, index1], parents=(x,), backward_fn=bw)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
     s = e / e.sum(axis=axis, keepdims=True)
+    x_node = x.node
 
     def bw(g):
-        x._accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        x_node.accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
     return Tensor(s, parents=(x,), backward_fn=bw)
 
 
@@ -308,13 +399,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     x_hat = centered * inv
     reduce_axes = tuple(range(x.data.ndim - 1))
+    x_node, gain_node, bias_node = x.node, gain.node, bias.node
+    kept_hat = x_hat if x_node is not None or gain_node is not None else None
+    kept_inv, gain_data = (inv, gain.data) if x_node is not None else (None, None)
 
     def bw(g):
-        gain._accumulate((g * x_hat).sum(axis=reduce_axes))
-        bias._accumulate(g.sum(axis=reduce_axes))
-        gh = g * gain.data
-        x._accumulate(inv * (gh - gh.mean(axis=-1, keepdims=True)
-                             - x_hat * (gh * x_hat).mean(axis=-1, keepdims=True)))
+        if gain_node is not None:
+            gain_node.accumulate((g * kept_hat).sum(axis=reduce_axes))
+        if bias_node is not None:
+            bias_node.accumulate(g.sum(axis=reduce_axes))
+        if x_node is not None:
+            gh = g * gain_data
+            x_node.accumulate(
+                kept_inv * (gh - gh.mean(axis=-1, keepdims=True)
+                            - kept_hat * (gh * kept_hat).mean(axis=-1, keepdims=True)))
     return Tensor(x_hat * gain.data + bias.data, parents=(x, gain, bias),
                   backward_fn=bw)
 
@@ -329,11 +427,12 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     mx = x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(x - mx).sum(axis=1)) + mx[:, 0]
     losses = lse - x[rows, targets]
+    x_node = logits.node
 
     def bw(g):
         probs = np.exp(x - lse[:, None])
         probs[rows, targets] -= 1.0
-        logits._accumulate(probs * float(g))
+        x_node.accumulate(probs * float(g))
     return Tensor(np.asarray(losses.sum(), dtype=x.dtype), parents=(logits,),
                   backward_fn=bw)
 
@@ -346,9 +445,10 @@ def binary_cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
             f"labels shape {z.shape} != logits shape {logits.data.shape}")
     x = logits.data
     losses = np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
+    x_node = logits.node
 
     def bw(g):
-        logits._accumulate(float(g) * (_sigmoid(x) - z))
+        x_node.accumulate(float(g) * (_sigmoid(x) - z))
     return Tensor(np.asarray(losses.sum(), dtype=x.dtype), parents=(logits,),
                   backward_fn=bw)
 
@@ -357,16 +457,21 @@ def backward(loss: Tensor) -> None:
     """Populate gradients of `loss` w.r.t. every contributing trainable tensor.
 
     The tape is consumed: each node, once its closure has run, loses its
-    closure, its parents and (unless it is a leaf) its `.grad`, so the graph
-    is freed as it is walked. Leaves keep `.grad`; `loss.data` stays. Call it
-    once per forward: a graph that a backward has already walked, in whole
-    or in part, raises `GradError` before any gradient is touched.
+    closure, its parents and (unless it is a leaf) its gradient, so the graph
+    and the arrays its closures kept are freed as it is walked. Leaves keep
+    `.grad`; `loss.data` stays. A loss without a node (nothing trainable
+    reaches it) is left as it is. Call it once per forward: a graph that a
+    backward has already walked, in whole or in part, raises `GradError`
+    before any gradient is touched.
     """
     if loss.data.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    topo: list[Tensor] = []
+    root = loss.node
+    if root is None:
+        return
+    topo: list[Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -374,23 +479,23 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
-        if node._parents is None:
+        if node.parents is None:
             raise GradError("backward already ran over this graph; "
                             "run the forward again")
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        if node._backward_fn is None:
-            continue                  # a leaf: it keeps its .grad
+        if node.backward_fn is None:
+            continue                  # a leaf: it keeps its gradient
         if node.grad is not None:
-            node._backward_fn(node.grad)
+            node.backward_fn(node.grad)
         # parents None mark a node that a backward has walked
-        node._backward_fn = node._parents = node.grad = None
+        node.backward_fn = node.parents = node.grad = None
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -112,13 +112,29 @@ class Adam:
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g = grads[name] * scale
+            # In place, in the operand order and dtypes of
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            #   p -= lr * (m/c1) / (sqrt(v/c2) + eps)
+            # so each step rounds exactly as the out-of-place form.
+            g, m, v = grads[name], self.m[name], self.v[name]
+            np.multiply(g, scale, out=g)
             if cfg.weight_decay > 0 and _decays(name):
-                p.data = (p.data - lr * cfg.weight_decay * p.data).astype(p.data.dtype)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            update = lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + cfg.adam_eps)
-            p.data = (p.data - update).astype(p.data.dtype)
+                decay = np.multiply(lr * cfg.weight_decay, p.data)
+                np.subtract(p.data, decay, out=p.data, casting="unsafe")
+            tmp = np.multiply(1 - b1, g)
+            np.multiply(b1, m, out=m)
+            np.add(m, tmp, out=m)
+            np.multiply(1 - b2, g, out=tmp)
+            np.multiply(tmp, g, out=tmp)
+            np.multiply(b2, v, out=v)
+            np.add(v, tmp, out=v)
+            update = np.divide(m, c1, out=g)
+            np.multiply(lr, update, out=update)
+            denom = np.divide(v, c2, out=tmp)
+            np.sqrt(denom, out=denom)
+            np.add(denom, cfg.adam_eps, out=denom)
+            np.divide(update, denom, out=update)
+            np.subtract(p.data, update, out=p.data, casting="unsafe")
         return norm
 
     def state_arrays(self) -> Dict[str, np.ndarray]:

@@ -175,6 +175,32 @@ class TestBinaryCrossEntropy:
             binary_cross_entropy_with_logits(Tensor(np.zeros(3)), np.zeros(4))
 
 
+class TestGelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_equals_the_kept_terms_form_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(12)
+        x_data = (3.0 * rng.normal(size=(4, 7))).astype(dtype)
+        weights = rng.normal(size=(4, 7)).astype(dtype)
+        x = Tensor(x_data, requires_grad=True)
+        backward((x.gelu() * Tensor(weights)).sum())
+        # the backward as it ran when the forward kept x*x and the tanh
+        c = math.sqrt(2.0 / math.pi)
+        x_sq = x_data * x_data
+        t = np.tanh(c * (x_data + 0.044715 * x_sq * x_data))
+        d_inner = c * (1.0 + 3 * 0.044715 * x_sq)
+        local = 0.5 * (1.0 + t) + 0.5 * x_data * (1.0 - t * t) * d_inner
+        expected = weights * local
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, expected)
+
+    def test_backward_keeps_only_the_input(self):
+        x_data = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        out = Tensor(x_data, requires_grad=True).gelu()
+        kept = [cell.cell_contents for cell in out.node.backward_fn.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert len(kept) == 1 and kept[0] is x_data
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -197,6 +223,8 @@ class TestBackward:
         backward((x * c).sum())
         assert c.grad is None
         assert x.grad is not None
+        with pytest.raises(GradError, match="holds none"):
+            c.grad = np.ones(3)
 
     def test_linearity(self):
         rng = np.random.default_rng(6)
@@ -220,13 +248,55 @@ class TestBackward:
         s = softmax(matmul(x, w))
         loss = (s * s).sum()
         value = loss.data.copy()
-        node = weakref.ref(s)
+        node = weakref.ref(s.node)
         del s
         assert node() is not None          # the loss's tape holds it
         backward(loss)
         assert node() is None
         assert x.grad is not None and w.grad is not None
         assert loss.grad is None and np.array_equal(loss.data, value)
+
+    def test_a_dropped_intermediate_dies_before_backward(self):
+        rng = np.random.default_rng(9)
+        a_data, b_data, weights = (rng.normal(size=(3, 4)) for _ in range(3))
+
+        def grads(hold):
+            a = Tensor(a_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            held = []
+
+            def probe(t):
+                held.append(t if hold else (weakref.ref(t), weakref.ref(t.data)))
+                return t
+            loss = (softmax(probe(a * 2.0) + b) * Tensor(weights)).sum()
+            if not hold:
+                assert all(ref() is None for ref in held[0])
+            backward(loss)
+            return a.grad, b.grad
+
+        for kept, dropped in zip(grads(hold=True), grads(hold=False)):
+            assert np.array_equal(kept, dropped)
+
+    def test_a_value_no_backward_reads_dies(self):
+        x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        h = x * 3.0
+        value = weakref.ref(h.data)
+        loss = (h * Tensor(np.array([2.0, 1.0, 4.0]))).sum()
+        del h                 # only the constant's values feed h's gradient
+        assert value() is None
+        backward(loss)
+        assert np.array_equal(x.grad, [6.0, 3.0, 12.0])
+
+    def test_backward_over_a_loss_without_a_node_is_a_no_op(self):
+        c = Tensor(np.ones(3))
+        w = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            untaped = (w * w).sum()
+        for loss in ((c * 2.0).sum(), untaped, Tensor(np.array(5.0))):
+            assert loss.node is None
+            backward(loss)
+            assert loss.grad is None
+        assert c.grad is None and w.grad is None
 
     def test_second_backward_over_a_walked_graph_raises(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -292,17 +362,17 @@ class TestTape:
         arrays = [rng.normal(size=shape) for shape in shapes]
         out = op(*[Tensor(a) for a in arrays])
         assert not out.requires_grad
-        assert out._parents == () and out._backward_fn is None
+        assert out.node is None
         inputs = [Tensor(arrays[0], requires_grad=True),
                   *[Tensor(a) for a in arrays[1:]]]
         out = op(*inputs)
         assert out.requires_grad
-        assert any(p is inputs[0] for p in out._parents)
-        assert callable(out._backward_fn)
+        assert out.node.parents == (inputs[0].node,)   # constants add none
+        assert callable(out.node.backward_fn)
         with no_grad():
             untaped = op(*inputs)
         assert not untaped.requires_grad
-        assert untaped._parents == () and untaped._backward_fn is None
+        assert untaped.node is None
         assert np.array_equal(untaped.data, out.data)
 
 

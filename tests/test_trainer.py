@@ -14,7 +14,7 @@ from xrtd.cli import DEFAULT_CONFIG, main
 from xrtd.corpus import LanguageSpec, synth_corpus
 from xrtd.model import init_model_pair, pair_configs
 from xrtd.objectives import joint_loss
-from xrtd.tensor import Tensor, backward, zero_grads
+from xrtd.tensor import Node, Tensor, backward, zero_grads
 from xrtd.trainer import (METRICS_COLUMNS, Adam, DivergenceError, OptimConfig,
                           _decays, _draw_batches, check_run,
                           heldout_disc_accuracy, load_checkpoint, lr_at,
@@ -162,6 +162,50 @@ class TestAdam:
         assert w.data[0] == pytest.approx(1.0 - 1e-2 * 0.1)
         assert b.data[0] == 1.0
 
+    def test_in_place_steps_equal_the_expression_form_bit_for_bit(self):
+        cfg = optim_config(weight_decay=0.1, grad_clip=1.0)
+        rng = np.random.default_rng(4)
+        named = {name: Tensor(rng.normal(size=shape).astype(np.float32),
+                              requires_grad=True)
+                 for name, shape in (("disc.layer0.ffn.w1", (3, 5)),
+                                     ("disc.layer0.ffn.b1", (5,)))}
+        optim = Adam(named, cfg)
+        buffers = [*(t.data for t in named.values()), *optim.m.values(),
+                   *optim.v.values()]
+        p = {k: t.data.copy() for k, t in named.items()}
+        m = {k: np.zeros(t.shape) for k, t in named.items()}
+        v = {k: np.zeros(t.shape) for k, t in named.items()}
+        b1, b2 = cfg.adam_betas
+        for t in (1, 2, 3):
+            grads = {k: rng.normal(size=x.shape).astype(np.float32)
+                     for k, x in named.items()}
+            for k, x in named.items():
+                x.grad = grads[k]
+            lr = 1e-2 * t
+            optim.step(lr)
+            # the update as written out of place, one new array per expression
+            g64 = {k: g.astype(np.float64) for k, g in grads.items()}
+            norm = math.sqrt(sum(float((g * g).sum()) for g in g64.values()))
+            assert norm > cfg.grad_clip           # the clip is exercised
+            scale = cfg.grad_clip / norm
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k in named:
+                g = g64[k] * scale
+                if _decays(k):
+                    p[k] = (p[k] - lr * cfg.weight_decay * p[k]).astype(np.float32)
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                update = lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + cfg.adam_eps)
+                p[k] = (p[k] - update).astype(np.float32)
+            for k, x in named.items():
+                assert x.data.dtype == np.float32
+                assert np.array_equal(x.data, p[k])
+                assert np.array_equal(optim.m[k], m[k])
+                assert np.array_equal(optim.v[k], v[k])
+        assert all(a is b for a, b in zip(buffers, [
+            *(t.data for t in named.values()), *optim.m.values(),
+            *optim.v.values()]))
+
 
 class TestTrainLoop:
     def test_zero_remaining_steps_checkpoint_equals_init(self, tmp_path):
@@ -201,12 +245,12 @@ class TestTrainLoop:
         assert any(k.startswith("disc.layer") for k in changed)
 
     def test_steps_leave_only_parameters_and_the_last_loss_alive(self):
-        def live_tensors():
+        def live(kind):
             gc.collect()
-            return [o for o in gc.get_objects() if isinstance(o, Tensor)]
+            return [o for o in gc.get_objects() if isinstance(o, kind)]
 
-        before = live_tensors()     # held, so no id below is reused
-        known = {id(t) for t in before}
+        before = live(Tensor), live(Node)   # held, so no id below is reused
+        known = {id(o) for objects in before for o in objects}
         corpus = small_corpus()
         models = small_models(len(corpus.vocab))
         run = small_run()
@@ -221,8 +265,11 @@ class TestTrainLoop:
             zero_grads(named.values())
             backward(total)
             optimizer.step(lr_at(step + 1, optim_cfg))
-        new = {id(t) for t in live_tensors() if id(t) not in known}
+        new = {id(t) for t in live(Tensor) if id(t) not in known}
         assert new == {id(t) for t in named.values()} | {id(total)}
+        new_nodes = {id(n) for n in live(Node) if id(n) not in known}
+        assert new_nodes == ({id(t.node) for t in named.values()}
+                             | {id(total.node)})
         assert all(t.grad is not None for t in named.values())
 
     def test_metrics_csv_layout(self, tmp_path):

@@ -1,6 +1,7 @@
 """Where a training step's memory lives: live bytes at the end of the forward.
 
     python tools/memsites.py [--top 12]
+    python tools/memsites.py --steps 30
 
 Builds the default config's corpus and model pair (`xrtd.cli.DEFAULT_CONFIG`),
 draws the first step's batches as `trainer.train` does, and runs the joint
@@ -10,8 +11,16 @@ by allocating line, the innermost line in `src/xrtd` on each allocation's
 traceback, and by the line outside `tensor.py` that called it (for an
 allocation made outside `tensor.py`, the two are the same). Tracing starts
 after the model is built, so the parameters are not counted. Last it runs
-the step's backward and prints the peak reached during it. It uses the
-`src/` next to this script and pins BLAS to one thread.
+the step's backward and prints the peak reached during it.
+
+With `--steps N` it runs N default training steps instead, as
+`trainer.train` runs them but without metrics or checkpoints, and reports
+the steady-state steps, the last N - N // 3. It prints their median count of
+minor page faults (`ru_minflt`) per step, from a pass without tracemalloc,
+and the highest per-step peak of traced bytes, from a second pass of the same
+steps under tracemalloc started before the model is built, so parameters and
+optimizer moments count. It uses the `src/` next to this script and pins
+BLAS to one thread.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import linecache  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 import tracemalloc  # noqa: E402
 from collections import Counter  # noqa: E402
@@ -36,7 +47,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from xrtd import cli, trainer  # noqa: E402
 from xrtd.objectives import joint_loss  # noqa: E402
-from xrtd.tensor import backward  # noqa: E402
+from xrtd.tensor import backward, zero_grads  # noqa: E402
 
 MB = 2 ** 20
 
@@ -57,14 +68,59 @@ def label(where: tuple) -> str:
     return f"{os.path.relpath(where[0], PACKAGE)}:{where[1]}"
 
 
+def training_steps(config, corpus, n: int):
+    """Build the default model pair and run `n` training steps, yielding
+    after each one."""
+    models = cli._model_pair(config, len(corpus.vocab))
+    optim_cfg, mono, pair = trainer.check_run(models, corpus, config, True)
+    named = models.all_parameters()
+    optimizer = trainer.Adam(named, optim_cfg)
+    rng = np.random.default_rng(config["seed"])
+    for step in range(n):
+        batches = trainer._draw_batches(mono, pair, config["data"]["token_budget"],
+                                        config["data"]["mask_ratio"], rng)
+        total, _ = joint_loss(*batches, models, optim_cfg.lam, rng)
+        zero_grads(named.values())
+        backward(total)
+        optimizer.step(trainer.lr_at(step + 1, optim_cfg))
+        yield step
+
+
+def report_steps(config, corpus, n: int) -> None:
+    steady = n // 3
+    faults = []
+    last = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in training_steps(config, corpus, n):
+        now = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        faults.append(now - last)
+        last = now
+    peaks = []
+    tracemalloc.start()
+    for _ in training_steps(config, corpus, n):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+    tracemalloc.stop()
+    print(f"steps {steady}-{n - 1} of {n}: median minor page faults per step "
+          f"{statistics.median(faults[steady:]):.0f}, peak traced "
+          f"{max(peaks[steady:]) / MB:.2f} MB")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--top", type=int, default=12,
                         help="number of allocating lines to print")
+    parser.add_argument("--steps", type=int, default=0,
+                        help="run this many training steps and report their "
+                             "page faults and peak traced bytes instead")
     args = parser.parse_args(argv)
 
     config = cli.load_config(None)
     corpus = cli._build_corpus(config)
+    if args.steps:
+        if args.steps < 0:
+            parser.error("--steps must not be negative")
+        report_steps(config, corpus, args.steps)
+        return
     models = cli._model_pair(config, len(corpus.vocab))
     optim_cfg, mono, pair = trainer.check_run(models, corpus, config, True)
     rng = np.random.default_rng(config["seed"])
