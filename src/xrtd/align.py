@@ -8,10 +8,19 @@ at every layer and ranks targets by cosine similarity. Word alignment reads
 the same states, runs entropic-regularized optimal transport between the two
 sentences' token vectors at every layer and extracts mutual-argmax pairs from
 the transport plan.
+
+`sinkhorn_plans` is the one scaling loop. It solves a stack of equal-shape
+costs at once, each member stopping at its own convergence iteration, so a
+plan is bit-equal to solving its cost alone. The alignment sweep groups its
+sentence pairs by (e length, f length) and makes one call per group over
+every (layer, pair) cost of the group. It never pads costs to a common
+shape: padding would change the sums of the matrix-vector products.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
@@ -88,28 +97,55 @@ def retrieve_acc1(src: np.ndarray, tgt: np.ndarray) -> Tuple[float, int]:
     return (hits / len(rows) if len(rows) else 0.0), excluded
 
 
-def sinkhorn_plan(cost: np.ndarray, eps: float, iters: int,
-                  tol: float = 1e-6) -> Tuple[np.ndarray, bool]:
-    """Entropic OT plan with uniform marginals via row/column scaling.
+def sinkhorn_plans(costs: np.ndarray, eps: float, iters: int,
+                   tol: float = 1e-6) -> Tuple[np.ndarray, np.ndarray]:
+    """Entropic OT plans with uniform marginals via row/column scaling, for
+    a stack of equal-shape costs [N, n, m] at once.
 
-    Returns (plan, converged); non-convergence returns the best plan found.
+    Returns (plans [N, n, m], converged [N]); a member that does not
+    converge returns the best plan found. Each member leaves the active set
+    at its own convergence iteration, its `u`/`v` frozen, and every member
+    runs the same elementwise ops, reductions and per-slice matrix-vector
+    products as a stack of one, so each plan and flag is bit-equal to
+    solving that cost alone.
     """
-    n, m = cost.shape
+    count, n, m = costs.shape
     a = np.full(n, 1.0 / n)
     b = np.full(m, 1.0 / m)
-    kernel = np.exp(-cost / eps)
-    u = np.ones(n)
-    v = np.ones(m)
-    converged = False
+    kernel = np.exp(-costs / eps)
+    u = np.ones((count, n))
+    v = np.ones((count, m))
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    k, u_a, v_a = kernel, u, v
     for _ in range(iters):
-        u = a / np.maximum(kernel @ v, 1e-300)
-        v = b / np.maximum(kernel.T @ u, 1e-300)
-        plan = u[:, None] * kernel * v[None, :]
-        if (np.abs(plan.sum(axis=1) - a).max() < tol and
-                np.abs(plan.sum(axis=0) - b).max() < tol):
-            converged = True
-            break
-    return u[:, None] * kernel * v[None, :], converged
+        u_a = a / np.maximum(np.matmul(k, v_a[:, :, None])[:, :, 0], 1e-300)
+        v_a = b / np.maximum(np.matmul(k.transpose(0, 2, 1), u_a[:, :, None])[:, :, 0],
+                             1e-300)
+        plan = u_a[:, :, None] * k * v_a[:, None, :]
+        done = ((np.abs(plan.sum(axis=2) - a).max(axis=1) < tol) &
+                (np.abs(plan.sum(axis=1) - b).max(axis=1) < tol))
+        if done.any():
+            stopped = active[done]
+            u[stopped], v[stopped], converged[stopped] = u_a[done], v_a[done], True
+            keep = ~done
+            active, k, u_a, v_a = active[keep], k[keep], u_a[keep], v_a[keep]
+            if not active.size:
+                break
+    u[active], v[active] = u_a, v_a
+    return u[:, :, None] * kernel * v[:, None, :], converged
+
+
+def sinkhorn_plan(cost: np.ndarray, eps: float, iters: int,
+                  tol: float = 1e-6) -> Tuple[np.ndarray, bool]:
+    """`sinkhorn_plans` of one [n, m] cost, or of a [N, n, m] stack.
+
+    Returns (plan, converged), the plan shaped like `cost`; for a stack,
+    converged is True only when every member converged.
+    """
+    plans, converged = sinkhorn_plans(cost.reshape((-1,) + cost.shape[-2:]),
+                                      eps, iters, tol)
+    return plans.reshape(cost.shape), bool(converged.all())
 
 
 def mutual_argmax_pairs(plan: np.ndarray) -> Set[Pair]:
@@ -118,15 +154,19 @@ def mutual_argmax_pairs(plan: np.ndarray) -> Set[Pair]:
     return {(i, int(j)) for i, j in enumerate(row_best) if col_best[j] == i}
 
 
-def ot_align(e_states: np.ndarray, f_states: np.ndarray, eps: float,
-             iters: int, tol: float = 1e-6) -> Tuple[Set[Pair], np.ndarray, bool]:
-    """Mutual-argmax token-index pairs of an OT plan over 1 - cosine costs."""
+def cosine_cost(e_states: np.ndarray, f_states: np.ndarray) -> np.ndarray:
+    """1 - cosine similarity between every e token and every f token."""
     if e_states.shape[0] < 1 or f_states.shape[0] < 1:
         raise ValueError("need at least one token on each side")
     e_unit = e_states / np.maximum(np.linalg.norm(e_states, axis=1, keepdims=True), 1e-300)
     f_unit = f_states / np.maximum(np.linalg.norm(f_states, axis=1, keepdims=True), 1e-300)
-    cost = 1.0 - e_unit @ f_unit.T
-    plan, converged = sinkhorn_plan(cost, eps, iters, tol)
+    return 1.0 - e_unit @ f_unit.T
+
+
+def ot_align(e_states: np.ndarray, f_states: np.ndarray, eps: float,
+             iters: int, tol: float = 1e-6) -> Tuple[Set[Pair], np.ndarray, bool]:
+    """Mutual-argmax token-index pairs of an OT plan over 1 - cosine costs."""
+    plan, converged = sinkhorn_plan(cosine_cost(e_states, f_states), eps, iters, tol)
     return mutual_argmax_pairs(plan), plan, converged
 
 
@@ -157,11 +197,25 @@ def layer_sweep_aer(source: List[List[np.ndarray]], target: List[List[np.ndarray
     Sentences of one length share a batch without padding, so their states
     equal, bit for bit, those of encoding each alone. Each sentence's states
     are widened to float64 before the cost is taken.
+
+    Pairs are grouped by (e length, f length). Each group stacks the costs of
+    all its (layer, pair) members and solves them in one Sinkhorn call, with
+    no padding to a common shape, so every plan, and so every AER and mean,
+    is bit-equal to aligning each pair alone with `ot_align`.
     """
-    rows = []
-    for layer, (e_layer, f_layer) in enumerate(zip(source, target)):
-        scores = [aer(AlignmentSet(ot_align(e.astype(np.float64), f.astype(np.float64),
-                                            eps, iters)[0], sure, possible))
-                  for e, f, (sure, possible) in zip(e_layer, f_layer, gold, strict=True)]
-        rows.append((layer, float(np.mean(scores))))
-    return rows
+    groups = defaultdict(list)    # (e length, f length) -> pair indices
+    for pair, (e, f, _) in enumerate(zip(source[0], target[0], gold, strict=True)):
+        groups[len(e), len(f)].append(pair)
+    scores = np.empty((len(source), len(gold)))
+    for members in groups.values():
+        cells = list(itertools.product(range(len(source)), members))
+        costs = np.stack([cosine_cost(source[layer][pair].astype(np.float64),
+                                      target[layer][pair].astype(np.float64))
+                          for layer, pair in cells])
+        # through `sinkhorn_plan`, the name the benchmark's tracer wraps, so
+        # its Sinkhorn span and counters cover the sweep
+        plans, _ = sinkhorn_plan(costs, eps, iters)
+        for plan, (layer, pair) in zip(plans, cells):
+            sure, possible = gold[pair]
+            scores[layer, pair] = aer(AlignmentSet(mutual_argmax_pairs(plan), sure, possible))
+    return [(layer, float(np.mean(row))) for layer, row in enumerate(scores)]

@@ -277,10 +277,23 @@ class Tensor:
         a = self.node
 
         def bw(g):
-            x_sq, t = _gelu_terms(x)
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x_sq)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-            a.accumulate(g * local)
+            # the ufunc calls of `d_inner = c * (1 + 3*0.044715 * x_sq)` and
+            # `g * (0.5 * (1 + t) + 0.5 * x * (1 - t*t) * d_inner)`, in
+            # numpy's order, written into four buffers; `t`'s ends as the
+            # gradient
+            d_inner, t = _gelu_terms(x)
+            np.multiply(d_inner, 3 * 0.044715, out=d_inner)
+            np.add(d_inner, 1.0, out=d_inner)
+            np.multiply(d_inner, _GELU_C, out=d_inner)
+            slope = np.multiply(x, 0.5)
+            t_sq = np.multiply(t, t)
+            np.subtract(1.0, t_sq, out=t_sq)
+            np.multiply(slope, t_sq, out=slope)
+            np.multiply(slope, d_inner, out=slope)
+            np.add(t, 1.0, out=t)
+            np.multiply(t, 0.5, out=t)
+            np.add(t, slope, out=t)
+            a.accumulate(np.multiply(g, t, out=t))
         return Tensor(0.5 * x * (1.0 + t), parents=(self,), backward_fn=bw)
 
 
@@ -288,9 +301,14 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _gelu_terms(x: np.ndarray) -> tuple:
-    """(x*x, tanh(c * (x + 0.044715 * x^3))) for `Tensor.gelu`."""
+    """(x*x, tanh(c * (x + 0.044715 * x^3))) for `Tensor.gelu`, two new
+    arrays; the tanh's argument is built in its output buffer."""
     x_sq = x * x
-    return x_sq, np.tanh(_GELU_C * (x + 0.044715 * x_sq * x))
+    t = np.multiply(x_sq, 0.044715)
+    np.multiply(t, x, out=t)
+    np.add(x, t, out=t)
+    np.multiply(t, _GELU_C, out=t)
+    return x_sq, np.tanh(t, out=t)
 
 
 def _as_tensor(value) -> Tensor:

@@ -5,7 +5,7 @@ import pytest
 
 from xrtd.align import (AlignmentSet, aer, content_layers, layer_sweep_aer,
                         layer_sweep_retrieval, mutual_argmax_pairs, ot_align,
-                        pooled_layers, retrieve_acc1, sinkhorn_plan)
+                        pooled_layers, retrieve_acc1, sinkhorn_plan, sinkhorn_plans)
 from xrtd.model import ModelConfig, encode, init_params
 from xrtd.objectives import wrap_mono
 
@@ -177,6 +177,28 @@ class TestSinkhorn:
             pairs, _, _ = ot_align(e, f, eps=0.02, iters=20000)
             assert pairs == {(i, best[i]) for i in range(4)}
 
+    def test_stack_matches_one_at_a_time_bit_for_bit(self):
+        # one cost at growing scales: the zero cost converges at iteration 1,
+        # the others at 3, 5, 11 and 25, and the largest not within 60
+        base = np.random.default_rng(11).random((5, 7))
+        costs = np.stack([scale * base for scale in (0.5, 0.0, 2.0, 0.05, 1.0, 0.2)])
+        first = [next((k for k in range(1, 61) if sinkhorn_plan(c, 0.1, k)[1]), None)
+                 for c in costs]
+        assert first == [11, 1, None, 3, 25, 5]
+        plans, converged = sinkhorn_plans(costs, eps=0.1, iters=60)
+        assert converged.tolist() == [True, True, False, True, True, True]
+        for cost, plan, flag in zip(costs, plans, converged):
+            alone, alone_flag = sinkhorn_plan(cost, eps=0.1, iters=60)
+            assert np.array_equal(plan, alone) and flag == alone_flag
+
+    def test_plan_of_a_stack_reports_whether_every_member_converged(self):
+        base = np.random.default_rng(11).random((5, 7))
+        costs = np.stack([0.5 * base, 2.0 * base])
+        plans, converged = sinkhorn_plan(costs, eps=0.1, iters=60)
+        assert converged is False
+        assert np.array_equal(plans, sinkhorn_plans(costs, eps=0.1, iters=60)[0])
+        assert sinkhorn_plan(costs[:1], eps=0.1, iters=60)[1] is True
+
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             ot_align(np.zeros((0, 4)), np.ones((3, 4)), eps=0.1, iters=200)
@@ -273,3 +295,35 @@ class TestLayerSweeps:
         gold = {(i, 3 - i) for i in range(4)}
         rows = layer_sweep_aer(e, f, [(gold, gold)], eps=0.1, iters=2000)
         assert rows == [(0, 0.0), (1, 0.0), (2, 0.0)]
+
+    def test_aer_sweep_equals_the_per_pair_loop_bit_for_bit(self):
+        # lengths interleaved so that no group of equal (e, f) lengths is
+        # contiguous, with e and f of unequal length in most pairs
+        params = small_params(vocab_size=60, layers=3, seed=7)
+        rng = np.random.default_rng(12)
+        lengths = [(3, 3), (5, 4), (3, 3), (4, 6), (5, 4), (2, 5), (3, 3), (4, 6)]
+        e = content_layers([wrap_mono(list(rng.integers(5, 60, size=n)))
+                            for n, _ in lengths], params)
+        f = content_layers([wrap_mono(list(rng.integers(5, 60, size=m)))
+                            for _, m in lengths], params)
+        gold = []
+        for n, m in lengths:
+            sure = {(i, int(rng.integers(m))) for i in range(n) if rng.random() < 0.7}
+            gold.append((sure, sure | {(int(rng.integers(n)), int(rng.integers(m)))}))
+
+        def per_pair_sweep(source, target, gold, eps, iters):
+            rows = []
+            for layer, (e_layer, f_layer) in enumerate(zip(source, target)):
+                scores = [aer(AlignmentSet(ot_align(s.astype(np.float64),
+                                                    t.astype(np.float64),
+                                                    eps, iters)[0], sure, possible))
+                          for s, t, (sure, possible) in zip(e_layer, f_layer, gold,
+                                                           strict=True)]
+                rows.append((layer, float(np.mean(scores))))
+            return rows
+
+        for eps, iters in ((0.1, 200), (0.02, 15)):
+            assert layer_sweep_aer(e, f, gold, eps, iters) == \
+                per_pair_sweep(e, f, gold, eps, iters)
+        with pytest.raises(ValueError):
+            layer_sweep_aer(e, f, gold[:-1], eps=0.1, iters=200)

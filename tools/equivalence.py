@@ -7,7 +7,10 @@ Two checkouts that print the same lines write byte-identical outputs:
 The runs use the `src/` next to this script, seed 301 and 12 training steps
 with a checkpoint every 6: `synth`, `pretrain`, `pretrain --resume` from
 step 6, `pretrain --no-trtd`, and `eval` of the full run's final checkpoint
-at 20 and at 300 held-out pairs. They run in a temporary directory with
+at 20 and at 300 held-out pairs; then a `pretrain` and a 20-pair `eval` on
+four languages, one of each kind (base, permuted, reversed, affix), so that
+several languages are aligned and one has reversed gold alignments. They
+run in a temporary directory with
 BLAS pinned to one thread. Each output file, the input configs and each
 command's stdout are printed as `sha256  path`, the path relative to that
 directory.
@@ -25,6 +28,15 @@ import tempfile
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 CONFIG = {"seed": 301, "optim": {"total_steps": 12, "warmup_steps": 3},
           "data": {"checkpoint_every": 6}, "eval": {"n_pairs": 20}}
+LANGUAGES = [{"lang": "en", "kind": "base", "seed": 0},
+             {"lang": "pv", "kind": "permuted", "seed": 1},
+             {"lang": "rv", "kind": "reversed", "seed": 2},
+             {"lang": "ax", "kind": "affix", "seed": 3}]
+CONFIGS = {
+    "config_20.json": {**CONFIG, "eval": {"n_pairs": 20}},
+    "config_300.json": {**CONFIG, "eval": {"n_pairs": 300}},
+    "config_langs.json": {**CONFIG, "data": {**CONFIG["data"], "languages": LANGUAGES}},
+}
 LEGS = {
     "synth": ["synth", "--config", "config_20.json", "--out", "synth"],
     "full": ["pretrain", "--config", "config_20.json", "--out", "full"],
@@ -36,14 +48,17 @@ LEGS = {
                 "--checkpoint", os.path.join("full", "ckpt_final")],
     "eval_300": ["eval", "--config", "config_300.json", "--out", "eval_300",
                  "--checkpoint", os.path.join("full", "ckpt_final")],
+    "langs": ["pretrain", "--config", "config_langs.json", "--out", "langs"],
+    "langs_eval": ["eval", "--config", "config_langs.json", "--out", "langs_eval",
+                   "--checkpoint", os.path.join("langs", "ckpt_final")],
 }
 
 
 def run_legs(work: str) -> None:
     """Write the configs and every leg's outputs and stdout under `work`."""
-    for n_pairs in (20, 300):
-        with open(os.path.join(work, f"config_{n_pairs}.json"), "w") as fh:
-            json.dump({**CONFIG, "eval": {"n_pairs": n_pairs}}, fh)
+    for name, config in CONFIGS.items():
+        with open(os.path.join(work, name), "w") as fh:
+            json.dump(config, fh)
     env = {**os.environ, "PYTHONPATH": os.path.abspath(SRC)}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
