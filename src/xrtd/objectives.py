@@ -8,6 +8,7 @@ is MLM + TLM + lambda * (MRTD + TRTD).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .model import ModelPair, ModelParams, encode, mlm_logits, rtd_logits
 from .tensor import (Tensor, binary_cross_entropy_with_logits, gather_rows,
-                     softmax_cross_entropy)
+                     joined_sum, softmax_cross_entropy, two_threads)
 
 PAD, MASK, BOS, EOS, SEP = 0, 1, 2, 3, 4
 SPECIAL_IDS = frozenset({PAD, MASK, BOS, EOS, SEP})
@@ -152,11 +153,17 @@ def sample_corruption(batch: MaskedBatch, generator_logits: np.ndarray,
     `generator_logits` holds one row per masked position in batch order. A
     sampled token equal to the original is labeled original.
     """
+    return _corrupt(batch, generator_logits,
+                    rng.gumbel(size=generator_logits.shape))
+
+
+def _corrupt(batch: MaskedBatch, generator_logits: np.ndarray,
+             noise: np.ndarray) -> CorruptedBatch:
+    """`sample_corruption` with its Gumbel `noise`, one value per logit."""
     b_idx, p_idx = _mask_index(batch)
     if generator_logits.shape[0] != b_idx.size:
         raise ValueError("logit rows do not cover all masked positions")
     # Gumbel-max: exact categorical sample from each softmax row
-    noise = rng.gumbel(size=generator_logits.shape)
     sampled = (generator_logits.astype(np.float64) + noise).argmax(axis=1)
     corrupt = batch.original.copy()
     corrupt[b_idx, p_idx] = sampled
@@ -181,35 +188,59 @@ def discriminator_loss_rtd(corrupt: CorruptedBatch, discriminator: ModelParams):
     return loss, accuracy, int(b_idx.size)
 
 
+def _n_masked(batch: MaskedBatch) -> int:
+    return sum(len(p) for p in batch.mask_positions)
+
+
+def _chain(batch: MaskedBatch, noise: np.ndarray, models: ModelPair,
+           generator_loss):
+    """One input's generator, corruption and discriminator: (generator loss,
+    discriminator loss, discriminator accuracy, positions scored)."""
+    gen_loss, logits = generator_loss(batch, models.generator)
+    corrupt = _corrupt(batch, logits, noise)
+    return (gen_loss, *discriminator_loss_rtd(corrupt, models.discriminator))
+
+
 def joint_loss(mono: MaskedBatch, pair: MaskedBatch | None, models: ModelPair,
                lam: float, rng: np.random.Generator):
     """Four-term joint objective; returns (total loss, report dict).
 
-    Without a `pair` batch, the translation-pair terms (TLM and TRTD) are
-    dropped, leaving monolingual MLM + lambda * MRTD.
+    The total is `((MLM + lambda * MRTD) + TLM) + lambda * TRTD`, summed in
+    that order. The monolingual chain (MLM, corruption, MRTD) runs on the
+    calling thread while the pair chain runs on a second one, and
+    `backward` of the total walks the two chains the same way
+    (`tensor.joined_sum`). Both chains' Gumbel noise is drawn from `rng`
+    first, the monolingual chain's before the pair chain's, so every output
+    equals that of running the chains one after the other. Without a `pair`
+    batch, the translation-pair terms (TLM and TRTD) are dropped, leaving
+    monolingual MLM + lambda * MRTD, and no thread is started.
     """
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    loss_mlm, gen_logits = generator_loss_mlm(mono, models.generator)
-    mono_corrupt = sample_corruption(mono, gen_logits, rng)
-    loss_mrtd, acc_m, n_m = discriminator_loss_rtd(mono_corrupt,
-                                                   models.discriminator)
-    n_masked_mono = sum(len(p) for p in mono.mask_positions)
+    vocab = models.generator.config.vocab_size
+    n_masked_mono = _n_masked(mono)
+    mono_noise = rng.gumbel(size=(n_masked_mono, vocab))
+    mono_chain = functools.partial(_chain, mono, mono_noise, models,
+                                   generator_loss_mlm)
+    if pair is None:
+        loss_mlm, loss_mrtd, acc_m, n_m = mono_chain()
+        total = loss_mlm + lam * loss_mrtd
+    else:
+        n_masked_pair = _n_masked(pair)
+        pair_noise = rng.gumbel(size=(n_masked_pair, vocab))
+        pair_chain = functools.partial(_chain, pair, pair_noise, models,
+                                       generator_loss_tlm)
+        (loss_mlm, loss_mrtd, acc_m, n_m), (loss_tlm, loss_trtd, acc_t, n_t) = \
+            two_threads(mono_chain, pair_chain)
+        total = joined_sum([loss_mlm, lam * loss_mrtd],
+                           [loss_tlm, lam * loss_trtd])
 
     report = {
         "mlm": loss_mlm.item(), "mrtd": loss_mrtd.item(),
         "mlm_per_token": loss_mlm.item() / max(1, n_masked_mono),
         "mrtd_per_token": loss_mrtd.item() / max(1, n_m),
     }
-    total = loss_mlm + lam * loss_mrtd
-
     if pair is not None:
-        loss_tlm, pair_logits = generator_loss_tlm(pair, models.generator)
-        pair_corrupt = sample_corruption(pair, pair_logits, rng)
-        loss_trtd, acc_t, n_t = discriminator_loss_rtd(pair_corrupt,
-                                                       models.discriminator)
-        n_masked_pair = sum(len(p) for p in pair.mask_positions)
-        total = total + loss_tlm + lam * loss_trtd
         report.update({
             "tlm": loss_tlm.item(), "trtd": loss_trtd.item(),
             "tlm_per_token": loss_tlm.item() / max(1, n_masked_pair),
@@ -221,4 +252,3 @@ def joint_loss(mono: MaskedBatch, pair: MaskedBatch | None, models: ModelPair,
                        "trtd_per_token": 0.0, "disc_accuracy": acc_m})
     report["total"] = total.item()
     return total, report
-

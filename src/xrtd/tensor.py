@@ -9,7 +9,7 @@ scalar operand as a 0-d float64 array; NumPy 2 (NEP 50) promotes a float32
 operand to float64 against it, while NumPy 1.x, with value-based casting,
 keeps float32. So under NumPy 2 the attention score scale and the gated
 bias's `1.0 - g_up` make every encoder layer after the embedding compute in
-float64. ROADMAP item 2 holds the fix. Gradient checking switches the default
+float64. ROADMAP item 3 holds the fix. Gradient checking switches the default
 element type to float64 via `using_dtype`. Inference runs under `no_grad`,
 where results join no tape.
 
@@ -31,12 +31,33 @@ gradient, so the arrays the closures kept die while the backward runs. Only
 leaves (parameters and other tensors created with `requires_grad=True`) keep
 `.grad`. `backward` therefore runs once per forward; a second call over the
 same graph raises `GradError`.
+
+A loss made of two independent parts can be walked on two threads at once:
+`joined_sum` adds two groups of terms into one result whose node has no
+parents, only a closure. Backward reaches that join node first; its closure
+walks the first group's graph on the calling thread and the second group's
+on a second thread (`two_threads`), and returns once both walks are done.
+numpy releases the GIL inside BLAS calls and ufunc loops, so the walks
+overlap. The two graphs may share only leaves, and a leaf's gradient is a
+sum whose bits depend on the order of its terms. So the held-leaf rule
+keeps the order of a single walk over the whole sum, first group then
+second. While the first walk runs, `Node.accumulate` on the second thread
+holds each leaf contribution, already un-broadcast and cast, instead of
+adding it. The first walk, when it finishes, adds the held contributions in
+the order they were made. From then on the second walk adds straight to the
+leaves. Both steps take one lock. Each leaf thus sums the first walk's
+contributions, then the second's, each in its own walk's order. The training
+step joins its monolingual chain (MLM + lambda * MRTD) as the first group
+and its translation-pair chain (TLM + lambda * TRTD) as the second, because
+that is the order in which the sequential walk of
+`((mlm + lambda * mrtd) + tlm) + lambda * trtd` reaches them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -86,6 +107,10 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
+# per thread: `held` is set on the second thread of a `joined_sum` backward
+_second_walk = threading.local()
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -124,6 +149,14 @@ class Node:
         g = _unbroadcast(g, self.shape)
         if g.dtype != self.dtype:
             g = g.astype(self.dtype)
+        held = getattr(_second_walk, "held", None)
+        if held is not None and self.backward_fn is None:
+            held.add(self, g)         # a leaf, reached by a second walk
+        else:
+            self.add(g)
+
+    def add(self, g: np.ndarray) -> None:
+        """Add a contribution that already fits the slot."""
         self.grad = g if self.grad is None else self.grad + g
 
 
@@ -487,9 +520,21 @@ def backward(loss: Tensor) -> None:
     root = loss.node
     if root is None:
         return
+    topo = _topo((root,))
+    root.grad = np.ones_like(loss.data)
+    _walk(topo)
+
+
+def _topo(roots: Sequence[Node]) -> list[Node]:
+    """The nodes that `roots` reach, each after every node that feeds it.
+
+    Roots are searched from the last one back, as the parents of a node
+    are, so the roots of a sum of terms come out as its node's parents
+    would. Raises `GradError` on a node that a backward has walked.
+    """
     topo: list[Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False) for root in roots]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -505,7 +550,11 @@ def backward(loss: Tensor) -> None:
         for parent in node.parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
-    root.grad = np.ones_like(loss.data)
+    return topo
+
+
+def _walk(topo: list[Node]) -> None:
+    """Run the closures of `topo`, last node first, freeing each node."""
     while topo:
         node = topo.pop()
         if node.backward_fn is None:
@@ -514,6 +563,104 @@ def backward(loss: Tensor) -> None:
             node.backward_fn(node.grad)
         # parents None mark a node that a backward has walked
         node.backward_fn = node.parents = node.grad = None
+
+
+def two_threads(here: Callable, there: Callable) -> tuple:
+    """`(here(), there())`, with `there` run on a new thread while `here`
+    runs on this one.
+
+    The new thread has ended when this returns or raises. If a call raised,
+    its exception is raised here, `here`'s if both did.
+    """
+    outcome: dict = {}
+
+    def run():
+        try:
+            outcome["result"] = there()
+        except BaseException as exc:   # re-raised on the calling thread
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, name="xrtd-second-chain")
+    worker.start()
+    try:
+        mine = here()
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome.pop("error")
+    return mine, outcome["result"]
+
+
+class _Held:
+    """A second walk's leaf contributions, held until the first walk ends.
+
+    Until `release`, `add` keeps each contribution; `release` adds the kept
+    ones in the order they were made, and after it `add` adds at once. Both
+    take one lock, so no contribution is added twice or lost between them.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.kept: list | None = []
+
+    def add(self, node: Node, g: np.ndarray) -> None:
+        with self.lock:
+            if self.kept is None:
+                node.add(g)
+            else:
+                self.kept.append((node, g))
+
+    def release(self) -> None:
+        with self.lock:
+            for node, g in self.kept:
+                node.add(g)
+            self.kept = None
+
+
+def joined_sum(first: Sequence[Tensor], second: Sequence[Tensor]) -> Tensor:
+    """The sum of the scalar terms `first` then `second`, added left to
+    right, whose backward walks the two groups' graphs at once.
+
+    The two groups' graphs may share leaves but no other node. The result's
+    node has no parents: its closure passes the gradient to every term,
+    walks the first group's graph on the calling thread and the second's on
+    a second thread, and holds the second walk's leaf contributions until
+    the first walk ends (the held-leaf rule of the module docstring). So
+    each leaf's gradient is bit-equal to that of a sequential walk over the
+    same sum. Both walks are checked before either starts; an exception from
+    either is raised after both have ended.
+    """
+    terms = (*first, *second)
+    value = terms[0].data
+    for term in terms[1:]:
+        value = value + term.data
+    out = Tensor(value)
+    first_nodes = tuple(t.node for t in first if t.node is not None)
+    second_nodes = tuple(t.node for t in second if t.node is not None)
+    if not _GRAD_ENABLED or not (first_nodes or second_nodes):
+        return out
+
+    def bw(g):
+        first_topo, second_topo = _topo(first_nodes), _topo(second_nodes)
+        held = _Held()
+
+        def walk_first():
+            for node in first_nodes:
+                node.accumulate(g)
+            _walk(first_topo)
+            held.release()
+
+        def walk_second():
+            _second_walk.held = held
+            try:
+                for node in second_nodes:
+                    node.accumulate(g)
+                _walk(second_topo)
+            finally:
+                _second_walk.held = None
+        two_threads(walk_first, walk_second)
+    out.node = Node((), bw, out.shape, out.dtype)
+    return out
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

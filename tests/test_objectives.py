@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from xrtd.objectives import (BOS, EOS, MASK, PAD, SEP, SPECIAL_IDS,
                              generator_loss_mlm, generator_loss_tlm,
                              joint_loss, sample_corruption,
                              select_mask_positions, wrap_mono, wrap_pair)
-from xrtd.tensor import backward, gather_rows, zero_grads
+from xrtd.tensor import (Node, backward, gather_rows, no_grad, using_dtype,
+                         zero_grads)
 
 
 def tiny_pair(vocab_size=100, seed=0):
@@ -313,6 +315,64 @@ class TestJointLoss:
         assert r["tlm"] == 0.0 and r["trtd"] == 0.0
         assert total.item() == pytest.approx(r["mlm"] + 50.0 * r["mrtd"],
                                              rel=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_equal_the_sequential_chains_bit_for_bit(self, dtype):
+        # the reference runs the two chains one after the other on one
+        # thread, each corruption drawing its noise when it is needed
+        with using_dtype(dtype):
+            models = tiny_pair()
+            mono, pair, _ = self.make_batches(25)
+            params = models.all_parameters()
+            total, report = joint_loss(mono, pair, models, 7.0,
+                                       np.random.default_rng(4))
+            backward(total)
+            grads = {name: p.grad for name, p in params.items()}
+            zero_grads(params.values())
+
+            rng = np.random.default_rng(4)
+            mlm, logits = generator_loss_mlm(mono, models.generator)
+            mrtd, _, _ = discriminator_loss_rtd(
+                sample_corruption(mono, logits, rng), models.discriminator)
+            tlm, logits = generator_loss_tlm(pair, models.generator)
+            trtd, _, _ = discriminator_loss_rtd(
+                sample_corruption(pair, logits, rng), models.discriminator)
+            reference = mlm + 7.0 * mrtd + tlm + 7.0 * trtd
+            backward(reference)
+        assert total.data.dtype == reference.data.dtype
+        assert total.item() == reference.item() == report["total"]
+        assert [report[k] for k in ("mlm", "mrtd", "tlm", "trtd")] == \
+            [t.item() for t in (mlm, mrtd, tlm, trtd)]
+        for name, p in params.items():
+            assert p.grad.dtype == dtype, name
+            assert np.array_equal(grads[name], p.grad), name
+
+    def test_failing_pair_chain_raises_here_and_ends_its_thread(self):
+        models = tiny_pair()
+        mono, _, _ = self.make_batches(26)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="translation pairs"):
+            joint_loss(mono, mono, models, 1.0, np.random.default_rng(0))
+        assert threading.active_count() == threads
+
+    def test_nodes_are_built_on_both_threads_and_none_under_no_grad(
+            self, monkeypatch):
+        # heldout_disc_accuracy runs joint_loss under no_grad
+        models = tiny_pair()
+        mono, pair, _ = self.make_batches(27)
+        builders = []
+        init = Node.__init__
+
+        def recording_init(self, *args):
+            builders.append(threading.current_thread())
+            init(self, *args)
+        monkeypatch.setattr(Node, "__init__", recording_init)
+        joint_loss(mono, pair, models, 1.0, np.random.default_rng(0))
+        assert len(set(builders)) == 2
+        builders.clear()
+        with no_grad():
+            joint_loss(mono, pair, models, 1.0, np.random.default_rng(0))
+        assert builders == []
 
     def test_gradient_firewall(self):
         # discriminator loss alone must not reach generator-only weights

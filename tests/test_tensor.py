@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -6,9 +8,9 @@ import pytest
 
 from xrtd.tensor import (DimensionError, GradError, Tensor, backward,
                          binary_cross_entropy_with_logits, embedding,
-                         gather_rows, layer_norm, linear, matmul, no_grad,
-                         softmax, softmax_cross_entropy, using_dtype,
-                         zero_grads)
+                         gather_rows, joined_sum, layer_norm, linear, matmul,
+                         no_grad, softmax, softmax_cross_entropy, two_threads,
+                         using_dtype, zero_grads)
 
 
 def fd_grad(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -472,6 +474,111 @@ class TestBroadcasting:
         scaled = x * x.sum(axis=-1, keepdims=True)
         backward(scaled.sum())
         assert x.grad.shape == (2, 3)
+
+
+class TestJoinedSum:
+    """Two groups of terms whose graphs share the leaves `w` and `b`, each
+    leaf reached several times by each group."""
+
+    @staticmethod
+    def leaves(dtype=np.float32):
+        rng = np.random.default_rng(11)
+        return (Tensor(rng.normal(size=(5, 3)).astype(dtype), requires_grad=True),
+                Tensor(rng.normal(size=(3,)).astype(dtype), requires_grad=True))
+
+    @staticmethod
+    def groups(w, b):
+        rng = np.random.default_rng(12)
+
+        def term(n):
+            x = Tensor(rng.normal(size=(n, 5)))
+            h = linear(x, w, b).gelu()
+            return softmax(matmul(h, w.transpose((1, 0))) * 0.5).sum()
+        return [term(4), term(2) * 3.0], [term(7), term(3), term(6)]
+
+    def check_against_the_sequential_sum(self, dtype):
+        w, b = self.leaves(dtype)
+        first, second = self.groups(w, b)
+        joined = joined_sum(first, second)
+        backward(joined)
+        w_ref, b_ref = self.leaves(dtype)
+        first, second = self.groups(w_ref, b_ref)
+        total = first[0]
+        for term in first[1:] + second:
+            total = total + term
+        backward(total)
+        assert joined.data.dtype == total.data.dtype
+        assert joined.item() == total.item()
+        assert np.array_equal(w.grad, w_ref.grad)
+        assert np.array_equal(b.grad, b_ref.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_value_and_leaf_gradients_equal_the_sequential_sum(self, dtype):
+        self.check_against_the_sequential_sum(dtype)
+
+    def test_same_bits_under_frequent_thread_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                self.check_against_the_sequential_sum(np.float32)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_second_walk_failure_raises_here_and_ends_its_thread(self):
+        w, b = self.leaves()
+        first, second = self.groups(w, b)
+
+        def boom(g):
+            raise RuntimeError("second walk failed")
+        failing = Tensor(second[0].data, parents=(second[0],), backward_fn=boom)
+        threads = threading.active_count()
+        joined = joined_sum(first, [failing])
+        with pytest.raises(RuntimeError, match="second walk failed"):
+            backward(joined)
+        assert threading.active_count() == threads
+
+    def test_walked_group_refused_before_any_gradient(self):
+        w, b = self.leaves()
+        first, second = self.groups(w, b)
+        backward(second[1])
+        zero_grads([w, b])
+        with pytest.raises(GradError, match="already ran"):
+            backward(joined_sum(first, second))
+        assert w.grad is None and b.grad is None
+
+    def test_no_node_under_no_grad(self):
+        w, b = self.leaves()
+        with no_grad():
+            joined = joined_sum(*self.groups(w, b))
+        assert joined.node is None
+        backward(joined)
+        assert w.grad is None
+
+    def test_second_backward_refused(self):
+        joined = joined_sum(*self.groups(*self.leaves()))
+        backward(joined)
+        with pytest.raises(GradError, match="already ran"):
+            backward(joined)
+
+
+class TestTwoThreads:
+    def test_results_in_order(self):
+        assert two_threads(lambda: "here", lambda: "there") == ("here", "there")
+
+    @pytest.mark.parametrize("failing", ["here", "there", "both"])
+    def test_failure_raises_after_the_thread_ended(self, failing):
+        def call(name):
+            def fn():
+                if failing in (name, "both"):
+                    raise ValueError(name)
+                return name
+            return fn
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as raised:
+            two_threads(call("here"), call("there"))
+        assert str(raised.value) == ("there" if failing == "there" else "here")
+        assert threading.active_count() == threads
 
 
 class TestDtypeSwitch:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -271,6 +272,14 @@ class TestTrainLoop:
         assert new_nodes == ({id(t.node) for t in named.values()}
                              | {id(total.node)})
         assert all(t.grad is not None for t in named.values())
+
+    def test_train_leaves_no_thread_behind(self, tmp_path):
+        corpus = small_corpus()
+        models = small_models(len(corpus.vocab))
+        before = set(threading.enumerate())
+        train(models, corpus, small_run(total=3, warmup=1), str(tmp_path / "run"),
+              True)
+        assert set(threading.enumerate()) == before
 
     def test_metrics_csv_layout(self, tmp_path):
         corpus = small_corpus()

@@ -16,11 +16,11 @@ the step's backward and prints the peak reached during it.
 With `--steps N` it runs N default training steps instead, as
 `trainer.train` runs them but without metrics or checkpoints, and reports
 the steady-state steps, the last N - N // 3. It prints their median count of
-minor page faults (`ru_minflt`) per step, from a pass without tracemalloc,
-and the highest per-step peak of traced bytes, from a second pass of the same
-steps under tracemalloc started before the model is built, so parameters and
-optimizer moments count. It uses the `src/` next to this script and pins
-BLAS to one thread.
+minor page faults (`ru_minflt`) per step and their median wall time per
+step, from a pass without tracemalloc, and the highest per-step peak of
+traced bytes, from a second pass of the same steps under tracemalloc started
+before the model is built, so parameters and optimizer moments count. It
+uses the `src/` next to this script and pins BLAS to one thread.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import linecache  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from collections import Counter  # noqa: E402
 
@@ -88,11 +89,12 @@ def training_steps(config, corpus, n: int):
 
 def report_steps(config, corpus, n: int) -> None:
     steady = n // 3
-    faults = []
-    last = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults, seconds = [], []
+    last = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
     for _ in training_steps(config, corpus, n):
-        now = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        faults.append(now - last)
+        now = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+        faults.append(now[0] - last[0])
+        seconds.append(now[1] - last[1])
         last = now
     peaks = []
     tracemalloc.start()
@@ -101,8 +103,9 @@ def report_steps(config, corpus, n: int) -> None:
         tracemalloc.reset_peak()
     tracemalloc.stop()
     print(f"steps {steady}-{n - 1} of {n}: median minor page faults per step "
-          f"{statistics.median(faults[steady:]):.0f}, peak traced "
-          f"{max(peaks[steady:]) / MB:.2f} MB")
+          f"{statistics.median(faults[steady:]):.0f}, median wall "
+          f"{statistics.median(seconds[steady:]) * 1e3:.1f} ms per step, peak "
+          f"traced {max(peaks[steady:]) / MB:.2f} MB")
 
 
 def main(argv=None) -> None:
@@ -111,7 +114,8 @@ def main(argv=None) -> None:
                         help="number of allocating lines to print")
     parser.add_argument("--steps", type=int, default=0,
                         help="run this many training steps and report their "
-                             "page faults and peak traced bytes instead")
+                             "page faults, wall time and peak traced bytes "
+                             "instead")
     args = parser.parse_args(argv)
 
     config = cli.load_config(None)
