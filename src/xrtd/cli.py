@@ -99,6 +99,8 @@ def _merge(defaults: Dict, overrides: Dict, path: str = "") -> Dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{where!r} must be a mapping")
             merged[key] = _merge(defaults[key], value, where)
+        elif type(defaults[key]) is int and type(value) is not int:
+            raise ConfigError(f"{where!r} must be an integer")   # a count
         else:
             merged[key] = copy.deepcopy(value)
     return merged
@@ -231,6 +233,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.configs < 1:
+        raise ValueError("--configs must be at least 1")
     worst = 0.0
     for i in range(args.configs):
         err = check_joint_gradients(args.seed + i)

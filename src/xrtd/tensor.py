@@ -41,20 +41,21 @@ numpy releases the GIL inside BLAS calls and ufunc loops, so the walks
 overlap. The two graphs may share only leaves, and a leaf's gradient is a
 sum whose bits depend on the order of its terms. So the held-leaf rule
 keeps the order of a single walk over the whole sum, first group then
-second. While the first walk runs, `Node.accumulate` on the second thread
-holds each leaf contribution, already un-broadcast and cast, instead of
-adding it. The first walk, when it finishes, adds the held contributions in
-the order they were made. From then on the second walk adds straight to the
-leaves. Both steps take one lock. Each leaf thus sums the first walk's
-contributions, then the second's, each in its own walk's order. The training
-step joins its monolingual chain (MLM + lambda * MRTD) as the first group
-and its translation-pair chain (TLM + lambda * TRTD) as the second, because
-that is the order in which the sequential walk of
+second. On the second thread, `Node.accumulate` keeps each leaf
+contribution, already un-broadcast and cast, in a list instead of adding
+it. Once both walks have ended, the join node's closure adds the kept
+contributions in the order they were made. Only the first walk adds to a
+leaf while the two run, so no lock is needed. Each leaf thus sums the first
+walk's contributions, then the second's, each in its own walk's order. The
+training step joins its monolingual chain (MLM + lambda * MRTD) as the first
+group and its translation-pair chain (TLM + lambda * TRTD) as the second,
+because that is the order in which the sequential walk of
 `((mlm + lambda * mrtd) + tlm) + lambda * trtd` reaches them.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import math
 import threading
@@ -107,7 +108,7 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-# per thread: `held` is set on the second thread of a `joined_sum` backward
+# per thread: `kept` is a list on the second thread of a `joined_sum` backward
 _second_walk = threading.local()
 
 
@@ -149,9 +150,9 @@ class Node:
         g = _unbroadcast(g, self.shape)
         if g.dtype != self.dtype:
             g = g.astype(self.dtype)
-        held = getattr(_second_walk, "held", None)
-        if held is not None and self.backward_fn is None:
-            held.add(self, g)         # a leaf, reached by a second walk
+        kept = getattr(_second_walk, "kept", None)
+        if kept is not None and self.backward_fn is None:
+            kept.append((self, g))    # a leaf, reached by a second walk
         else:
             self.add(g)
 
@@ -572,49 +573,9 @@ def two_threads(here: Callable, there: Callable) -> tuple:
     The new thread has ended when this returns or raises. If a call raised,
     its exception is raised here, `here`'s if both did.
     """
-    outcome: dict = {}
-
-    def run():
-        try:
-            outcome["result"] = there()
-        except BaseException as exc:   # re-raised on the calling thread
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=run, name="xrtd-second-chain")
-    worker.start()
-    try:
-        mine = here()
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome.pop("error")
-    return mine, outcome["result"]
-
-
-class _Held:
-    """A second walk's leaf contributions, held until the first walk ends.
-
-    Until `release`, `add` keeps each contribution; `release` adds the kept
-    ones in the order they were made, and after it `add` adds at once. Both
-    take one lock, so no contribution is added twice or lost between them.
-    """
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.kept: list | None = []
-
-    def add(self, node: Node, g: np.ndarray) -> None:
-        with self.lock:
-            if self.kept is None:
-                node.add(g)
-            else:
-                self.kept.append((node, g))
-
-    def release(self) -> None:
-        with self.lock:
-            for node, g in self.kept:
-                node.add(g)
-            self.kept = None
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        future = pool.submit(there)
+        return here(), future.result()
 
 
 def joined_sum(first: Sequence[Tensor], second: Sequence[Tensor]) -> Tensor:
@@ -624,8 +585,8 @@ def joined_sum(first: Sequence[Tensor], second: Sequence[Tensor]) -> Tensor:
     The two groups' graphs may share leaves but no other node. The result's
     node has no parents: its closure passes the gradient to every term,
     walks the first group's graph on the calling thread and the second's on
-    a second thread, and holds the second walk's leaf contributions until
-    the first walk ends (the held-leaf rule of the module docstring). So
+    a second thread, and adds the second walk's leaf contributions once both
+    walks have ended (the held-leaf rule of the module docstring). So
     each leaf's gradient is bit-equal to that of a sequential walk over the
     same sum. Both walks are checked before either starts; an exception from
     either is raised after both have ended.
@@ -642,23 +603,21 @@ def joined_sum(first: Sequence[Tensor], second: Sequence[Tensor]) -> Tensor:
 
     def bw(g):
         first_topo, second_topo = _topo(first_nodes), _topo(second_nodes)
-        held = _Held()
+        kept: list = []
 
         def walk_first():
             for node in first_nodes:
                 node.accumulate(g)
             _walk(first_topo)
-            held.release()
 
         def walk_second():
-            _second_walk.held = held
-            try:
-                for node in second_nodes:
-                    node.accumulate(g)
-                _walk(second_topo)
-            finally:
-                _second_walk.held = None
+            _second_walk.kept = kept   # the thread ends with two_threads
+            for node in second_nodes:
+                node.accumulate(g)
+            _walk(second_topo)
         two_threads(walk_first, walk_second)
+        for node, contribution in kept:   # the second walk's leaf terms last
+            node.add(contribution)
     out.node = Node((), bw, out.shape, out.dtype)
     return out
 

@@ -282,6 +282,8 @@ def check_run(models: ModelPair, corpus: Corpus, config: Dict, use_trtd: bool):
         raise ValueError("token_budget must be positive")
     if not 0 < data["mask_ratio"] <= 1:
         raise ValueError("mask_ratio must be in (0, 1]")
+    if data["checkpoint_every"] < 0:
+        raise ValueError("checkpoint_every must not be negative")
     described = pair_configs(config["model"], _vocab_size(config))
     if (models.generator.config, models.discriminator.config) != described:
         raise ValueError("the model pair is not the one that the config's "

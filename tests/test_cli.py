@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="optimizer"):
             load_config(path)
 
+    @pytest.mark.parametrize("value", [4.5, True, "4", 4.0])
+    def test_integer_key_takes_only_an_integer(self, tmp_path, value):
+        path = write_config(tmp_path, {"optim": {"total_steps": value}})
+        with pytest.raises(ConfigError, match="'optim.total_steps' must be an integer"):
+            load_config(path)
+
     def test_unknown_nested_key_rejected_with_path(self, tmp_path):
         path = write_config(tmp_path, {"optim": {"lr": 1.0}})
         with pytest.raises(ConfigError, match="optim.lr"):
@@ -107,23 +113,27 @@ class TestErrors:
                        "'model.share_embeddings'\"")
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value, named", [
-        ("alpha", 0, "alpha"),
-        ("n_sentences", 0, "n_sentences"),
-        ("token_budget", 0, "token_budget"),
-        ("mask_ratio", 1.5, "mask_ratio"),
-    ], ids=["alpha", "n_sentences", "token_budget", "mask_ratio"])
+    @pytest.mark.parametrize("section, key, value, error", [
+        ("data", "alpha", 0, "ValueError"),
+        ("data", "n_sentences", 0, "ValueError"),
+        ("data", "token_budget", 0, "ValueError"),
+        ("data", "mask_ratio", 1.5, "ValueError"),
+        ("data", "checkpoint_every", -2, "ValueError"),
+        ("optim", "total_steps", 4.5, "ConfigError"),
+    ], ids=["alpha", "n_sentences", "token_budget", "mask_ratio",
+            "checkpoint_every_negative", "total_steps_not_integer"])
     def test_bad_data_section_fails_before_any_output(self, tmp_path, capsys,
-                                                      key, value, named):
+                                                      section, key, value,
+                                                      error):
         overrides = json.loads(json.dumps(TINY_OVERRIDES))
-        overrides["data"][key] = value
+        overrides[section][key] = value
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "run"
         code = main(["pretrain", "--config", cfg, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and named in err
-        assert err.startswith('error code=ValueError msg="')
+        assert err.count("\n") == 1 and key in err
+        assert err.startswith(f'error code={error} msg="')
         assert not (out / "run_config.json").exists()
         assert not (out / "metrics.csv").exists()
 
@@ -151,6 +161,14 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert code == 0
         assert "overall max_rel_err=" in out
+
+    def test_no_configs_refused(self, capsys):
+        code = main(["gradcheck", "--configs", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ('error code=ValueError msg="--configs must be '
+                                'at least 1"\n')
 
     def test_unreachable_tolerance_fails(self, capsys):
         code = main(["gradcheck", "--seed", "0", "--configs", "1",
@@ -303,12 +321,15 @@ class TestPretrainEval:
             aer_rows = list(csv.DictReader(fh))
         assert all(0.0 <= float(r["aer"]) <= 1.0 for r in aer_rows)
 
-    @pytest.mark.parametrize("key, value", [
-        ("n_pairs", 1), ("ot_eps", 0), ("ot_eps", -0.1), ("ot_iters", 0),
-    ], ids=["n_pairs", "ot_eps_zero", "ot_eps_negative", "ot_iters"])
+    @pytest.mark.parametrize("key, value, error", [
+        ("n_pairs", 1, "ValueError"), ("ot_eps", 0, "ValueError"),
+        ("ot_eps", -0.1, "ValueError"), ("ot_iters", 0, "ValueError"),
+        ("ot_iters", 1.5, "ConfigError"),
+    ], ids=["n_pairs", "ot_eps_zero", "ot_eps_negative", "ot_iters",
+            "ot_iters_not_integer"])
     def test_eval_refuses_bad_eval_section_before_any_output(self, run_dir,
                                                              tmp_path, capsys,
-                                                             key, value):
+                                                             key, value, error):
         _, _, out = run_dir
         overrides = json.loads(json.dumps(TINY_OVERRIDES))
         overrides["eval"][key] = value
@@ -318,7 +339,7 @@ class TestPretrainEval:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err
-        assert err.startswith('error code=ValueError msg="')
+        assert err.startswith(f'error code={error} msg="')
         assert not (tmp_path / "e" / "run_config.json").exists()
 
     def test_eval_encodes_each_sentence_once_per_sweep(self, run_dir, tmp_path,

@@ -525,6 +525,63 @@ class TestJoinedSum:
         finally:
             sys.setswitchinterval(interval)
 
+    @staticmethod
+    def gated_group(w, b, sizes, seed, wait, done):
+        """Terms like `groups`' in which every use of a leaf passes through
+        its own node. Each term's backward first waits for the event `wait`;
+        `done` is set once every use has passed its contribution to its leaf."""
+        rng = np.random.default_rng(seed)
+        left = [3 * len(sizes)]
+
+        def use(leaf):
+            def bw(g):
+                leaf.node.accumulate(g)
+                left[0] -= 1
+                if not left[0]:
+                    done.set()
+            return Tensor(leaf.data, parents=(leaf,), backward_fn=bw)
+
+        def term(n):
+            x = Tensor(rng.normal(size=(n, 5)))
+            h = linear(x, use(w), use(b)).gelu()
+            out = softmax(matmul(h, use(w).transpose((1, 0))) * 0.5).sum()
+
+            def bw(g):
+                assert wait.wait(timeout=30), "the other walk never finished"
+                out.node.accumulate(g)
+            return Tensor(out.data, parents=(out,), backward_fn=bw)
+        return [term(n) for n in sizes]
+
+    def gated_grads(self, held_back):
+        """Leaf gradients of the sum of two gated groups: joined, with the
+        group `held_back` waiting until the other has made every leaf
+        contribution, or added sequentially if `held_back` is None."""
+        go = threading.Event()
+        go.set()
+        done = {"first": threading.Event(), "second": threading.Event()}
+        waits = {"first": done["second"] if held_back == "first" else go,
+                 "second": done["first"] if held_back == "second" else go}
+        w, b = self.leaves()
+        first = self.gated_group(w, b, [4, 2], 13, waits["first"], done["first"])
+        second = self.gated_group(w, b, [7, 3, 6], 14, waits["second"],
+                                  done["second"])
+        if held_back is None:
+            total = first[0]
+            for term in first[1:] + second:
+                total = total + term
+        else:
+            total = joined_sum(first, second)
+        backward(total)
+        return w.grad, b.grad
+
+    @pytest.mark.parametrize("held_back", ["first", "second"])
+    def test_same_bits_whichever_walk_finishes_first(self, held_back):
+        """Held back, the first walk adds nothing until the second has
+        finished; the second walk starts only once the first has finished."""
+        joined, sequential = self.gated_grads(held_back), self.gated_grads(None)
+        for got, want in zip(joined, sequential):
+            assert np.array_equal(got, want)
+
     def test_second_walk_failure_raises_here_and_ends_its_thread(self):
         w, b = self.leaves()
         first, second = self.groups(w, b)
