@@ -7,7 +7,7 @@ encoder with gated relative position bias, synthetic toy languages, and a
 retrieval/word-alignment evaluation suite.
 """
 
-from .tensor import Tensor, backward, using_dtype
+from .tensor import Tensor, backward
 
-__all__ = ["Tensor", "backward", "using_dtype"]
+__all__ = ["Tensor", "backward"]
 __version__ = "0.1.0"

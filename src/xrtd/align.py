@@ -179,8 +179,6 @@ def layer_sweep_retrieval(source: List[List[np.ndarray]],
     """
     if len(source[0]) != len(target[0]):
         raise ValueError("source and target counts differ")
-    if len(source[0]) < 2:
-        raise ValueError("retrieval needs at least 2 sentence pairs")
     return [(layer, retrieve_acc1(s, t)[0], retrieve_acc1(t, s)[0])
             for layer, (s, t) in enumerate(zip(pooled_layers(source),
                                                pooled_layers(target)))]

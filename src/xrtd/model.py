@@ -16,8 +16,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .tensor import (Tensor, embedding, get_default_dtype, layer_norm, linear,
-                     matmul, softmax)
+from .tensor import Tensor, embedding, layer_norm, linear, matmul, softmax
 
 PAD_ID = 0
 
@@ -108,10 +107,10 @@ def param_layout(config: ModelConfig) -> Dict[str, Tuple[Tuple[int, ...], str | 
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Every parameter of `param_layout(config)`, initialized from `seed`
-    with one draw per weight, in layout order."""
+    """Every parameter of `param_layout(config)`, a float32 array
+    initialized from `seed` with one draw per weight, in layout order."""
     rng = np.random.default_rng(seed)
-    dtype = get_default_dtype()
+    dtype = np.float32
     r = config.init_range
     tensors: Dict[str, Tensor] = {}
     for name, (shape, init) in param_layout(config).items():
@@ -159,7 +158,7 @@ def attention_weights(h: Tensor, params: ModelParams, layer: int,
     w = params[p + "attn.gate_w"].reshape((1, heads, 1, 1))
     bias = gated_bias(d_bias, q, u, vv, w)
     scores = scores + bias + Tensor(key_mask)
-    return softmax(scores, axis=-1), v
+    return softmax(scores), v
 
 
 def _attention(h: Tensor, params: ModelParams, layer: int,
@@ -176,7 +175,8 @@ def encode(ids: np.ndarray, params: ModelParams,
     """Hidden states for every layer, index 0 being the embedding layer.
 
     Padded key positions are excluded from attention normalization via an
-    additive mask; `pad_mask` (True = real token) defaults to ids != PAD.
+    additive mask in the embedding table's dtype; `pad_mask` (True = real
+    token) defaults to ids != PAD.
     """
     ids = np.asarray(ids)
     if ids.ndim != 2:
@@ -186,7 +186,7 @@ def encode(ids: np.ndarray, params: ModelParams,
     if pad_mask is None:
         pad_mask = ids != PAD_ID
     key_mask = np.where(pad_mask[:, None, None, :], 0.0, NEG_INF)
-    key_mask = key_mask.astype(get_default_dtype())
+    key_mask = key_mask.astype(params["embed"].dtype)
 
     h = embedding(params["embed"], ids)
     states = [h]
@@ -279,10 +279,8 @@ def pair_layout(gen_config: ModelConfig,
 def model_pair_from_arrays(gen_config: ModelConfig, disc_config: ModelConfig,
                            arrays: Dict[str, np.ndarray]) -> ModelPair:
     """The pair whose parameters are `arrays`, named as `pair_layout` names
-    them, each converted to the default dtype."""
-    dtype = get_default_dtype()
-    named = {k: Tensor(a.astype(dtype, copy=False), requires_grad=True)
-             for k, a in arrays.items()}
+    them; each parameter keeps its array (and so its dtype)."""
+    named = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
     named["gen.embed"] = named["disc.embed"]
     gen, disc = (ModelParams(c, {n: named[prefix + n] for n in param_layout(c)})
                  for prefix, c in (("gen.", gen_config), ("disc.", disc_config)))

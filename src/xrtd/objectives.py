@@ -3,7 +3,7 @@
 Losses: masked language modeling (MLM) and its translation-pair variant (TLM)
 for the generator; replaced token detection over single sentences (MRTD) and
 concatenated translation pairs (TRTD) for the discriminator. The joint loss
-is MLM + TLM + lambda * (MRTD + TRTD).
+is `((MLM + lambda * MRTD) + TLM) + lambda * TRTD`, summed in that order.
 """
 
 from __future__ import annotations

@@ -3,15 +3,16 @@
 The engine is deliberately small: numpy arrays wrapped in a `Tensor`, and a
 dynamic tape of `Node`s that backward walks. Broadcasting is supported for
 scalar and trailing-dimension cases (numpy semantics with gradient
-un-broadcasting). Parameters are created in the default element type,
-float32, but activations do not stay float32. `_as_tensor` wraps a Python
-scalar operand as a 0-d float64 array; NumPy 2 (NEP 50) promotes a float32
-operand to float64 against it, while NumPy 1.x, with value-based casting,
-keeps float32. So under NumPy 2 the attention score scale and the gated
-bias's `1.0 - g_up` make every encoder layer after the embedding compute in
-float64. ROADMAP item 3 holds the fix. Gradient checking switches the default
-element type to float64 via `using_dtype`. Inference runs under `no_grad`,
-where results join no tape.
+un-broadcasting). The element type comes from the data: a result's type
+follows its operands, and only non-float data (ints, bools) is converted, to
+float32. The model's parameters are float32, and gradient checking widens its
+own model pair to float64. Activations do not stay float32: `_as_tensor`
+wraps a Python scalar operand as a 0-d float64 array; NumPy 2 (NEP 50)
+promotes a float32 operand to float64 against it, while NumPy 1.x, with
+value-based casting, keeps float32. So under NumPy 2 the attention score
+scale and the gated bias's `1.0 - g_up` make every encoder layer after the
+embedding compute in float64. ROADMAP item 3 holds the fix. Inference runs
+under `no_grad`, where results join no tape.
 
 What code holds and what the tape holds are separate. A `Tensor` holds its
 values (`data`) and a link to its `Node`, or None if it requires no
@@ -63,7 +64,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 
 
@@ -73,24 +73,6 @@ class DimensionError(ValueError):
 
 class GradError(RuntimeError):
     """Raised on autograd contract violations (e.g. backward on non-scalar)."""
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
-
-
-@contextlib.contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default element type (float32/float64)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype).type
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported element type {dtype}")
-    previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE = previous
 
 
 @contextlib.contextmanager
@@ -180,7 +162,7 @@ class Tensor:
                  parents: tuple = (), backward_fn: Callable | None = None):
         arr = np.asarray(data)
         if arr.dtype.type not in (np.float32, np.float64):
-            arr = arr.astype(_DEFAULT_DTYPE)
+            arr = arr.astype(np.float32)
         self.data = arr
         self.node: Node | None = None
         if requires_grad:
@@ -434,21 +416,26 @@ def gather_rows(x: Tensor, index0: np.ndarray, index1: np.ndarray) -> Tensor:
     return Tensor(x.data[index0, index1], parents=(x,), backward_fn=bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    s = e / e.sum(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
     x_node = x.node
 
     def bw(g):
-        x_node.accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        x_node.accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)))
     return Tensor(s, parents=(x,), backward_fn=bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+_LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis, then scale by `gain` and shift by `bias`."""
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     x_hat = centered * inv
     reduce_axes = tuple(range(x.data.ndim - 1))
     x_node, gain_node, bias_node = x.node, gain.node, bias.node

@@ -276,6 +276,10 @@ def check_run(models: ModelPair, corpus: Corpus, config: Dict, use_trtd: bool):
     """(optim config, mono sampler, pair sampler) of a run of `models` on
     `corpus`; a ValueError if the `optim` or `data` section of the merged run
     `config` is invalid or `models` is not the pair that `config` describes."""
+    for section, key in (("optim", "warmup_steps"), ("optim", "total_steps"),
+                         ("data", "token_budget"), ("data", "checkpoint_every")):
+        if type(config[section][key]) is not int:   # a bool is refused too
+            raise ValueError(f"{section}.{key} must be an integer")
     optim_cfg = OptimConfig(**config["optim"])
     data = config["data"]
     if data["token_budget"] <= 0:

@@ -124,8 +124,6 @@ class TestRetrieval:
         two = content_layers([[2, 5, 3], [2, 6, 3]], params)
         with pytest.raises(ValueError, match="counts differ"):
             layer_sweep_retrieval(one, two)
-        with pytest.raises(ValueError, match="at least 2"):
-            layer_sweep_retrieval(one, one)
 
 
 class TestSinkhorn:

@@ -9,7 +9,8 @@ from xrtd.cli import DEFAULT_CONFIG, _build_corpus
 from xrtd.model import (ModelConfig, _clipped_offsets, attention_weights,
                         encode, gated_bias, init_model_pair, init_params,
                         mlm_logits, pair_configs, rtd_logits)
-from xrtd.tensor import Tensor, backward, using_dtype, zero_grads
+from xrtd.gradcheck import widened
+from xrtd.tensor import Tensor, backward, zero_grads
 from xrtd.trainer import Adam, OptimConfig, load_checkpoint, save_checkpoint
 
 
@@ -113,13 +114,12 @@ class TestGatedBias:
         assert offs[5, 5] == 4
 
     def test_differentiable_wrt_all_parameters(self):
-        with using_dtype(np.float64):
-            d, q, u, v, w = (Tensor(np.asarray(x), requires_grad=True)
-                             for x in (0.5, [0.4, 0.6], [0.2, -0.1],
-                                       [0.3, 0.2], 0.8))
-            backward(gated_bias(d, q, u, v, w))
-            for t in (d, u, v, w, q):
-                assert t.grad is not None
+        d, q, u, v, w = (Tensor(np.asarray(x), requires_grad=True)
+                         for x in (0.5, [0.4, 0.6], [0.2, -0.1],
+                                   [0.3, 0.2], 0.8))
+        backward(gated_bias(d, q, u, v, w))
+        for t in (d, u, v, w, q):
+            assert t.grad is not None
 
 
 class TestAttention:
@@ -149,38 +149,37 @@ class TestAttention:
         assert attn.data.min() >= 0
 
     def test_three_token_single_head_hand_oracle(self):
-        with using_dtype(np.float64):
-            cfg = ModelConfig(num_layers=1, hidden_size=2, num_heads=1,
-                              ffn_size=4, vocab_size=10, max_rel_distance=2,
-                              init_range=0.02, role="discriminator")
-            params = init_params(cfg, seed=0)
-            rng = np.random.default_rng(42)
-            for name in ("wq", "wk", "wv"):
-                params[f"layer0.attn.{name}"].data = rng.normal(size=(2, 2))
-                params[f"layer0.attn.b{name[1]}"].data = np.zeros(2)
-            params["layer0.attn.d_table"].data = rng.normal(size=(5, 1))
-            params["layer0.attn.gate_u"].data = rng.normal(size=(1, 2))
-            params["layer0.attn.gate_v"].data = rng.normal(size=(1, 2))
-            params["layer0.attn.gate_w"].data = np.array([0.9])
-            h_np = rng.normal(size=(1, 3, 2))
-            attn, v = attention_weights(Tensor(h_np), params, 0,
-                                        np.zeros((1, 1, 1, 3)))
+        cfg = ModelConfig(num_layers=1, hidden_size=2, num_heads=1,
+                          ffn_size=4, vocab_size=10, max_rel_distance=2,
+                          init_range=0.02, role="discriminator")
+        params = init_params(cfg, seed=0)
+        rng = np.random.default_rng(42)
+        for name in ("wq", "wk", "wv"):
+            params[f"layer0.attn.{name}"].data = rng.normal(size=(2, 2))
+            params[f"layer0.attn.b{name[1]}"].data = np.zeros(2)
+        params["layer0.attn.d_table"].data = rng.normal(size=(5, 1))
+        params["layer0.attn.gate_u"].data = rng.normal(size=(1, 2))
+        params["layer0.attn.gate_v"].data = rng.normal(size=(1, 2))
+        params["layer0.attn.gate_w"].data = np.array([0.9])
+        h_np = rng.normal(size=(1, 3, 2))
+        attn, v = attention_weights(Tensor(h_np), params, 0,
+                                    np.zeros((1, 1, 1, 3)))
 
-            # independent recomputation with plain numpy
-            q = h_np[0] @ params["layer0.attn.wq"].data
-            k = h_np[0] @ params["layer0.attn.wk"].data
-            scores = q @ k.T / math.sqrt(2)
-            sig = lambda x: 1 / (1 + math.exp(-x))
-            for i in range(3):
-                gu = sig(q[i] @ params["layer0.attn.gate_u"].data[0])
-                gr = sig(q[i] @ params["layer0.attn.gate_v"].data[0])
-                for j in range(3):
-                    d = params["layer0.attn.d_table"].data[
-                        np.clip(i - j, -2, 2) + 2, 0]
-                    scores[i, j] += d + gu * d + (1 - gu) * (0.9 * gr * d)
-            expected = np.exp(scores - scores.max(axis=1, keepdims=True))
-            expected /= expected.sum(axis=1, keepdims=True)
-            assert np.allclose(attn.data[0, 0], expected, atol=1e-6)
+        # independent recomputation with plain numpy
+        q = h_np[0] @ params["layer0.attn.wq"].data
+        k = h_np[0] @ params["layer0.attn.wk"].data
+        scores = q @ k.T / math.sqrt(2)
+        sig = lambda x: 1 / (1 + math.exp(-x))
+        for i in range(3):
+            gu = sig(q[i] @ params["layer0.attn.gate_u"].data[0])
+            gr = sig(q[i] @ params["layer0.attn.gate_v"].data[0])
+            for j in range(3):
+                d = params["layer0.attn.d_table"].data[
+                    np.clip(i - j, -2, 2) + 2, 0]
+                scores[i, j] += d + gu * d + (1 - gu) * (0.9 * gr * d)
+        expected = np.exp(scores - scores.max(axis=1, keepdims=True))
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert np.allclose(attn.data[0, 0], expected, atol=1e-6)
 
     def test_no_dead_gate_parameters(self):
         cfg = small_config()
@@ -228,6 +227,19 @@ class TestEncode:
         short_out = encode(ids, params)[-1].data[0, :3]
         long_out = encode(longer, params)[-1].data[0, :3]
         assert np.allclose(short_out, long_out, atol=1e-5)
+
+    def test_state_dtypes_follow_the_parameters(self):
+        # numpy 1.x and 2.x promote float32 layers 1+ differently; layer 0
+        # and a float64 pair compute in their parameters' type on both
+        pair = init_model_pair(small_config(num_layers=1, role="generator"),
+                               small_config(), seed=0)
+        ids = np.array([[5, 6, 7, 0], [8, 9, 0, 0]])
+        for params in (pair.generator, pair.discriminator):
+            assert encode(ids, params)[0].dtype == np.float32
+        wide = widened(pair)
+        for params in (wide.generator, wide.discriminator):
+            assert [s.dtype for s in encode(ids, params)] == \
+                [np.float64] * (params.config.num_layers + 1)
 
 
 class TestHeads:

@@ -10,7 +10,7 @@ from xrtd.tensor import (DimensionError, GradError, Tensor, backward,
                          binary_cross_entropy_with_logits, embedding,
                          gather_rows, joined_sum, layer_norm, linear, matmul,
                          no_grad, softmax, softmax_cross_entropy, two_threads,
-                         using_dtype, zero_grads)
+                         zero_grads)
 
 
 def fd_grad(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -45,31 +45,29 @@ class TestMatmul:
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
     def test_gradient_matches_finite_differences(self):
-        with using_dtype(np.float64):
-            rng = np.random.default_rng(0)
-            a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-            b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-            weights = rng.normal(size=(3, 2))
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        weights = rng.normal(size=(3, 2))
 
-            def loss():
-                return float((np.matmul(a.data, b.data) * weights).sum())
+        def loss():
+            return float((np.matmul(a.data, b.data) * weights).sum())
 
-            out = (matmul(a, b) * Tensor(weights)).sum()
-            backward(out)
-            for t in (a, b):
-                numeric = fd_grad(loss, t.data)
-                rel = np.abs(t.grad - numeric) / np.maximum(np.abs(numeric), 1e-8)
-                assert rel.max() < 1e-4
+        out = (matmul(a, b) * Tensor(weights)).sum()
+        backward(out)
+        for t in (a, b):
+            numeric = fd_grad(loss, t.data)
+            rel = np.abs(t.grad - numeric) / np.maximum(np.abs(numeric), 1e-8)
+            assert rel.max() < 1e-4
 
     def test_batched_matmul_gradients(self):
-        with using_dtype(np.float64):
-            rng = np.random.default_rng(1)
-            a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-            b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-            backward(matmul(a, b).sum())
-            numeric = fd_grad(lambda: float(np.matmul(a.data, b.data).sum()),
-                              b.data)
-            assert np.allclose(b.grad, numeric, rtol=1e-5, atol=1e-8)
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        backward(matmul(a, b).sum())
+        numeric = fd_grad(lambda: float(np.matmul(a.data, b.data).sum()),
+                          b.data)
+        assert np.allclose(b.grad, numeric, rtol=1e-5, atol=1e-8)
 
 
 class TestLinear:
@@ -94,20 +92,19 @@ class TestLinear:
             assert np.array_equal(fused, plain)
 
     def test_gradient_matches_finite_differences(self):
-        with using_dtype(np.float64):
-            rng = np.random.default_rng(12)
-            x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-            w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-            b = Tensor(rng.normal(size=(2,)), requires_grad=True)
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2,)), requires_grad=True)
 
-            def graph():
-                return linear(x, w, b).gelu().sum()
+        def graph():
+            return linear(x, w, b).gelu().sum()
 
-            backward(graph())
-            for t in (x, w, b):
-                numeric = fd_grad(lambda: graph().item(), t.data)
-                denom = np.maximum(np.maximum(np.abs(numeric), np.abs(t.grad)), 1e-4)
-                assert (np.abs(t.grad - numeric) / denom).max() < 1e-4
+        backward(graph())
+        for t in (x, w, b):
+            numeric = fd_grad(lambda: graph().item(), t.data)
+            denom = np.maximum(np.maximum(np.abs(numeric), np.abs(t.grad)), 1e-4)
+            assert (np.abs(t.grad - numeric) / denom).max() < 1e-4
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
@@ -129,27 +126,25 @@ class TestSoftmaxCrossEntropy:
         assert loss.item() < 1e-6
 
     def test_against_logsumexp_oracle(self):
-        with using_dtype(np.float64):
-            rng = np.random.default_rng(2)
-            data = rng.normal(size=(4, 8))
-            targets = rng.integers(0, 8, size=4)
-            expected = 0.0
-            for row, t in zip(data, targets):
-                expected += math.log(np.exp(row).sum()) - row[t]
-            loss = softmax_cross_entropy(Tensor(data), targets)
-            assert loss.item() == pytest.approx(expected, abs=1e-10)
+        rng = np.random.default_rng(2)
+        data = rng.normal(size=(4, 8))
+        targets = rng.integers(0, 8, size=4)
+        expected = 0.0
+        for row, t in zip(data, targets):
+            expected += math.log(np.exp(row).sum()) - row[t]
+        loss = softmax_cross_entropy(Tensor(data), targets)
+        assert loss.item() == pytest.approx(expected, abs=1e-10)
 
     def test_gradient(self):
-        with using_dtype(np.float64):
-            rng = np.random.default_rng(4)
-            logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-            targets = [0, 2, 4]
-            backward(softmax_cross_entropy(logits, targets))
-            numeric = fd_grad(
-                lambda: sum(math.log(np.exp(logits.data[r]).sum())
-                            - logits.data[r, targets[r]] for r in range(3)),
-                logits.data)
-            assert np.allclose(logits.grad, numeric, atol=1e-8)
+        rng = np.random.default_rng(4)
+        logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        targets = [0, 2, 4]
+        backward(softmax_cross_entropy(logits, targets))
+        numeric = fd_grad(
+            lambda: sum(math.log(np.exp(logits.data[r]).sum())
+                        - logits.data[r, targets[r]] for r in range(3)),
+            logits.data)
+        assert np.allclose(logits.grad, numeric, atol=1e-8)
 
 
 class TestBinaryCrossEntropy:
@@ -164,13 +159,12 @@ class TestBinaryCrossEntropy:
         assert loss.item() < 1e-6
 
     def test_against_stable_formula(self):
-        with using_dtype(np.float64):
-            rng = np.random.default_rng(5)
-            x = rng.normal(scale=5, size=16)
-            z = rng.integers(0, 2, size=16).astype(float)
-            expected = (np.maximum(x, 0) - x * z + np.log1p(np.exp(-np.abs(x)))).sum()
-            loss = binary_cross_entropy_with_logits(Tensor(x), z)
-            assert loss.item() == pytest.approx(expected, abs=1e-10)
+        rng = np.random.default_rng(5)
+        x = rng.normal(scale=5, size=16)
+        z = rng.integers(0, 2, size=16).astype(float)
+        expected = (np.maximum(x, 0) - x * z + np.log1p(np.exp(-np.abs(x)))).sum()
+        loss = binary_cross_entropy_with_logits(Tensor(x), z)
+        assert loss.item() == pytest.approx(expected, abs=1e-10)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -321,7 +315,7 @@ class TestBackward:
         def run():
             rng = np.random.default_rng(7)
             x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-            y = softmax(matmul(x, x).gelu(), axis=-1).sum()
+            y = softmax(matmul(x, x).gelu()).sum()
             backward(y)
             return y.data.copy(), x.grad.copy()
 
@@ -417,39 +411,37 @@ class TestCompositeGradients:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_composites(self, seed):
-        with using_dtype(np.float64):
-            rng = np.random.default_rng(seed)
-            x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-            w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-            gain = Tensor(rng.normal(size=(3,)), requires_grad=True)
-            bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        gain = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
-            def graph():
-                h = layer_norm(matmul(x, w).gelu(), gain, bias)
-                s = softmax(h, axis=-1)
-                return (s * s).sum() + h.sigmoid().sum() * 0.25 + x.gelu().sum()
+        def graph():
+            h = layer_norm(matmul(x, w).gelu(), gain, bias)
+            s = softmax(h)
+            return (s * s).sum() + h.sigmoid().sum() * 0.25 + x.gelu().sum()
 
-            out = graph()
-            backward(out)
-            for t in (x, w, gain, bias):
-                numeric = fd_grad(lambda: graph().item(), t.data)
-                denom = np.maximum(np.maximum(np.abs(numeric), np.abs(t.grad)), 1e-4)
-                assert (np.abs(t.grad - numeric) / denom).max() < 1e-4
+        out = graph()
+        backward(out)
+        for t in (x, w, gain, bias):
+            numeric = fd_grad(lambda: graph().item(), t.data)
+            denom = np.maximum(np.maximum(np.abs(numeric), np.abs(t.grad)), 1e-4)
+            assert (np.abs(t.grad - numeric) / denom).max() < 1e-4
 
     def test_embedding_and_gather(self):
-        with using_dtype(np.float64):
-            rng = np.random.default_rng(10)
-            table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-            ids = np.array([[0, 2], [2, 4]])
+        rng = np.random.default_rng(10)
+        table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        ids = np.array([[0, 2], [2, 4]])
 
-            def graph():
-                emb = embedding(table, ids)
-                rows = gather_rows(emb, np.array([0, 1]), np.array([1, 1]))
-                return (rows * rows).sum()
+        def graph():
+            emb = embedding(table, ids)
+            rows = gather_rows(emb, np.array([0, 1]), np.array([1, 1]))
+            return (rows * rows).sum()
 
-            backward(graph())
-            numeric = fd_grad(lambda: graph().item(), table.data)
-            assert np.allclose(table.grad, numeric, atol=1e-8)
+        backward(graph())
+        numeric = fd_grad(lambda: graph().item(), table.data)
+        assert np.allclose(table.grad, numeric, atol=1e-8)
 
     def test_embedding_rejects_out_of_range(self):
         table = Tensor(np.zeros((4, 2)))
@@ -639,17 +631,12 @@ class TestTwoThreads:
 
 
 class TestDtypeSwitch:
-    def test_default_dtype_context(self):
-        assert Tensor([0, 0]).dtype == np.float32
-        with using_dtype(np.float64):
-            assert Tensor([1, 2]).dtype == np.float64
-        assert Tensor([1, 2]).dtype == np.float32
+    """There is no default element type to switch: only non-float data is
+    converted, to float32, and float data keeps its type."""
 
-    def test_unsupported_dtype_rejected(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            with using_dtype(np.float16):
-                pass
-        assert Tensor([1, 2]).dtype == np.float32
+    def test_int_data_becomes_float32(self):
+        assert Tensor([0, 0]).dtype == np.float32
+        assert Tensor([1, 2], requires_grad=True).node.dtype == np.float32
 
     def test_explicit_float64_preserved(self):
         t = Tensor(np.zeros(2, dtype=np.float64))

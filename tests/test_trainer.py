@@ -377,6 +377,19 @@ class TestTrainLoop:
             train(models, corpus, config, str(tmp_path / "run"), True)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("optim", "total_steps", 4.5), ("data", "checkpoint_every", 1.5),
+    ], ids=["total_steps", "checkpoint_every"])
+    def test_refuses_a_count_that_is_not_an_integer(self, tmp_path, section,
+                                                    key, value):
+        corpus = small_corpus()
+        models = small_models(len(corpus.vocab))
+        config = small_run(total=5, warmup=2)
+        config[section][key] = value
+        with pytest.raises(ValueError, match=f"{section}.{key} must be an integer"):
+            train(models, corpus, config, str(tmp_path / "run"), True)
+        assert not (tmp_path / "run").exists()
+
     def test_heldout_accuracy_in_unit_interval(self):
         corpus = small_corpus()
         models = small_models(len(corpus.vocab))

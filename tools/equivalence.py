@@ -9,11 +9,11 @@ with a checkpoint every 6: `synth`, `pretrain`, `pretrain --resume` from
 step 6, `pretrain --no-trtd`, and `eval` of the full run's final checkpoint
 at 20 and at 300 held-out pairs; then a `pretrain` and a 20-pair `eval` on
 four languages, one of each kind (base, permuted, reversed, affix), so that
-several languages are aligned and one has reversed gold alignments. They
-run in a temporary directory with
-BLAS pinned to one thread. Each output file, the input configs and each
-command's stdout are printed as `sha256  path`, the path relative to that
-directory.
+several languages are aligned and one has reversed gold alignments; and
+`gradcheck --configs 5`, whose stdout records criterion 1's errors. They run
+in a temporary directory with BLAS pinned to one thread. Each output file,
+the input configs and each command's stdout are printed as `sha256  path`,
+the path relative to that directory.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ LEGS = {
     "langs": ["pretrain", "--config", "config_langs.json", "--out", "langs"],
     "langs_eval": ["eval", "--config", "config_langs.json", "--out", "langs_eval",
                    "--checkpoint", os.path.join("langs", "ckpt_final")],
+    "gradcheck": ["gradcheck", "--configs", "5"],
 }
 
 
