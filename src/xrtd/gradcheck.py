@@ -19,7 +19,7 @@ from .objectives import (CorruptedBatch, MaskedBatch, build_masked_batch,
                          discriminator_loss_rtd, generator_loss_mlm,
                          generator_loss_tlm, sample_corruption, wrap_mono,
                          wrap_pair)
-from .tensor import Tensor, backward, joined_sum, zero_grads
+from .tensor import Tensor, backward, joined_sum, no_grad, zero_grads
 
 STEP = 1e-5
 COORDS_PER_PARAM = 6
@@ -33,7 +33,8 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
     `loss_fn` rebuilds the scalar loss from the current parameter values.
     For large tensors only `COORDS_PER_PARAM` coordinates, drawn from `seed`,
     are probed (small tensors, including all gate parameters, are probed
-    fully), each at +-`STEP`.
+    fully), each at +-`STEP`. Only the first loss builds a tape; the probes
+    run under `no_grad`.
     """
     rng = np.random.default_rng(seed)
     zero_grads(params.values())
@@ -55,10 +56,11 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
             coords = rng.choice(size, size=COORDS_PER_PARAM, replace=False)
         for c in coords:
             keep = flat[c]
-            flat[c] = keep + STEP
-            up = loss_fn().item()
-            flat[c] = keep - STEP
-            down = loss_fn().item()
+            with no_grad():          # a probe reads only the loss's value
+                flat[c] = keep + STEP
+                up = loss_fn().item()
+                flat[c] = keep - STEP
+                down = loss_fn().item()
             flat[c] = keep
             numeric = (up - down) / (2 * STEP)
             a = float(analytic[name].reshape(-1)[c])

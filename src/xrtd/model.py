@@ -16,7 +16,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, embedding, layer_norm, linear, matmul, softmax
+from .tensor import (Tensor, attend, embedding, ffn, gated_bias, layer_norm,
+                     linear, matmul, softmax)
 
 PAD_ID = 0
 
@@ -49,18 +50,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.hidden_size // self.num_heads
-
-
-def gated_bias(d: Tensor, q: Tensor, u: Tensor, v: Tensor, w: Tensor) -> Tensor:
-    """Gated relative position bias for queries `q` over their last axis.
-
-    update gate g_u = sigmoid(q . u), reset gate g_r = sigmoid(q . v):
-        r = d + g_u * d + (1 - g_u) * (w * g_r * d)
-    with d the bias-table entry at the clipped query-key offset.
-    """
-    g_up = (q * u).sum(axis=-1, keepdims=True).sigmoid()
-    g_reset = (q * v).sum(axis=-1, keepdims=True).sigmoid()
-    return d + g_up * d + (1.0 - g_up) * (w * g_reset * d)
 
 
 class ModelParams:
@@ -163,11 +152,9 @@ def attention_weights(h: Tensor, params: ModelParams, layer: int,
 
 def _attention(h: Tensor, params: ModelParams, layer: int,
                key_mask: np.ndarray) -> Tensor:
-    b, n, d = h.shape
     attn, v = attention_weights(h, params, layer, key_mask)
-    out = matmul(attn, v).transpose((0, 2, 1, 3)).reshape((b, n, d))
     p = f"layer{layer}."
-    return linear(out, params[p + "attn.wo"], params[p + "attn.bo"])
+    return attend(attn, v, params[p + "attn.wo"], params[p + "attn.bo"])
 
 
 def encode(ids: np.ndarray, params: ModelParams,
@@ -194,8 +181,8 @@ def encode(ids: np.ndarray, params: ModelParams,
         p = f"layer{layer}."
         h = layer_norm(h + _attention(h, params, layer, key_mask),
                        params[p + "ln1.g"], params[p + "ln1.b"])
-        f = linear(h, params[p + "ffn.w1"], params[p + "ffn.b1"])
-        f = linear(f.gelu(), params[p + "ffn.w2"], params[p + "ffn.b2"])
+        f = ffn(h, params[p + "ffn.w1"], params[p + "ffn.b1"],
+                params[p + "ffn.w2"], params[p + "ffn.b2"])
         h = layer_norm(h + f, params[p + "ln2.g"], params[p + "ln2.b"])
         states.append(h)
     return states

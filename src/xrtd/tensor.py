@@ -10,9 +10,10 @@ own model pair to float64. Activations do not stay float32: `_as_tensor`
 wraps a Python scalar operand as a 0-d float64 array; NumPy 2 (NEP 50)
 promotes a float32 operand to float64 against it, while NumPy 1.x, with
 value-based casting, keeps float32. So under NumPy 2 the attention score
-scale and the gated bias's `1.0 - g_up` make every encoder layer after the
-embedding compute in float64. ROADMAP item 3 holds the fix. Inference runs
-under `no_grad`, where results join no tape.
+scale and the gated bias's `1.0 - g_up`, whose `1.0` is such an array too,
+make every encoder layer after the embedding compute in float64. ROADMAP
+item 3 holds the fix. Inference runs under `no_grad`, where results join no
+tape.
 
 What code holds and what the tape holds are separate. A `Tensor` holds its
 values (`data`) and a link to its `Node`, or None if it requires no
@@ -21,10 +22,24 @@ it), the nodes of the trainable inputs, the backward closure, and the
 tensor's shape and dtype; it holds no values. A closure captures the input
 nodes it feeds and only the arrays its backward reads, and each such array
 only if the input that needs it has a node: `mul` keeps `other.data` only if
-`self` has a node, `softmax` keeps its output, and `gelu` keeps its input
-and recomputes the rest in the backward with the same numpy calls. Every
-other value, an intermediate included, dies as soon as code drops its
-`Tensor`.
+`self` has a node, and `softmax` keeps its output. Every other value, an
+intermediate included, dies as soon as code drops its `Tensor`.
+
+A fused node (`linear`, `ffn`, `attend`, `gated_bias`) is one node for a
+composition of simpler ops, and it gives that composed form's bits. Its
+forward replays the composed form's numpy calls in their order. Its backward
+replays the composed walk's arithmetic: it fits each intermediate's
+gradient to that intermediate's shape and dtype, as the intermediate's node
+would have (`_fit`), and adds to each input node in the composed walk's
+order. A sum's bits depend on the order of its terms only per node, so the
+order between different nodes is free. A sum's bits also depend on the
+memory layout of the array it reduces, so a replay keeps the composed
+form's layouts too: numpy computes `x * (y * z)` into the temporary's
+buffer, which has the temporary's layout, so a rebuilt product is named
+before it is multiplied, as the composed form's kept one was. A fused node
+keeps only what its backward cannot cheaply rebuild, such as its inputs
+and the FFN's pre-activation. It rebuilds the rest with the forward's
+numpy calls and frees each rebuilt buffer once used.
 
 `backward` consumes the tape it walks: as it runs each node's closure it
 drops the node's closure, its parents and, unless the node is a leaf, its
@@ -107,6 +122,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _fit(g: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    """`g` summed down to `shape` and cast to `dtype`, as `Node.accumulate`
+    fits a contribution; a fused node fits its intermediates' with it."""
+    g = _unbroadcast(g, shape)
+    return g if g.dtype == dtype else g.astype(dtype)
+
+
 class Node:
     """The tape's record of one trainable tensor.
 
@@ -129,9 +151,7 @@ class Node:
         self.dtype = dtype
 
     def accumulate(self, g: np.ndarray) -> None:
-        g = _unbroadcast(g, self.shape)
-        if g.dtype != self.dtype:
-            g = g.astype(self.dtype)
+        g = _fit(g, self.shape, self.dtype)
         kept = getattr(_second_walk, "kept", None)
         if kept is not None and self.backward_fn is None:
             kept.append((self, g))    # a leaf, reached by a second walk
@@ -215,18 +235,6 @@ class Tensor:
                 b.accumulate(g)
         return Tensor(self.data + other.data, parents=(self, other), backward_fn=bw)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        a = self.node
-
-        def bw(g):
-            a.accumulate(-g)
-        return Tensor(-self.data, parents=(self,), backward_fn=bw)
-
-    def __rsub__(self, other) -> "Tensor":
-        return _as_tensor(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = _as_tensor(other)
         a, b = self.node, other.node
@@ -272,59 +280,19 @@ class Tensor:
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
                       parents=(self,), backward_fn=bw)
 
-    # -- elementwise nonlinearities ------------------------------------------
-
-    def sigmoid(self) -> "Tensor":
-        y = _sigmoid(self.data)
-        a = self.node
-
-        def bw(g):
-            a.accumulate(g * y * (1.0 - y))
-        return Tensor(y, parents=(self,), backward_fn=bw)
-
-    def gelu(self) -> "Tensor":
-        """Tanh-form GELU approximation.
-
-        The backward keeps only the input: it recomputes `x*x` and the tanh
-        with the forward's numpy calls, so both come out bit-equal.
-        """
-        x = self.data
-        _, t = _gelu_terms(x)
-        a = self.node
-
-        def bw(g):
-            # the ufunc calls of `d_inner = c * (1 + 3*0.044715 * x_sq)` and
-            # `g * (0.5 * (1 + t) + 0.5 * x * (1 - t*t) * d_inner)`, in
-            # numpy's order, written into four buffers; `t`'s ends as the
-            # gradient
-            d_inner, t = _gelu_terms(x)
-            np.multiply(d_inner, 3 * 0.044715, out=d_inner)
-            np.add(d_inner, 1.0, out=d_inner)
-            np.multiply(d_inner, _GELU_C, out=d_inner)
-            slope = np.multiply(x, 0.5)
-            t_sq = np.multiply(t, t)
-            np.subtract(1.0, t_sq, out=t_sq)
-            np.multiply(slope, t_sq, out=slope)
-            np.multiply(slope, d_inner, out=slope)
-            np.add(t, 1.0, out=t)
-            np.multiply(t, 0.5, out=t)
-            np.add(t, slope, out=t)
-            a.accumulate(np.multiply(g, t, out=t))
-        return Tensor(0.5 * x * (1.0 + t), parents=(self,), backward_fn=bw)
-
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_terms(x: np.ndarray) -> tuple:
-    """(x*x, tanh(c * (x + 0.044715 * x^3))) for `Tensor.gelu`, two new
-    arrays; the tanh's argument is built in its output buffer."""
-    x_sq = x * x
-    t = np.multiply(x_sq, 0.044715)
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c * (x + 0.044715 * x^3)), the tanh of the tanh-form GELU, a new
+    array; its argument is built in the output buffer."""
+    t = x * x
+    np.multiply(t, 0.044715, out=t)
     np.multiply(t, x, out=t)
     np.add(x, t, out=t)
     np.multiply(t, _GELU_C, out=t)
-    return x_sq, np.tanh(t, out=t)
+    return np.tanh(t, out=t)
 
 
 def _as_tensor(value) -> Tensor:
@@ -340,19 +308,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_matmul(a: Tensor, b: Tensor) -> None:
-    if a.data.ndim < 2 or b.data.ndim < 2:
+def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(
-            f"matmul requires >=2-d operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
+            f"matmul requires >=2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
-            f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
+            f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
 
 
 def matmul(a: Tensor, b) -> Tensor:
     """Matrix product with optional leading batch dimensions."""
     b = _as_tensor(b)
-    _check_matmul(a, b)
+    _check_matmul(a.data, b.data)
     a_node, b_node = a.node, b.node
     b_data = b.data if a_node is not None else None
     a_data = a.data if b_node is not None else None
@@ -372,7 +340,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     in its order: b first, then x, then w (summed over x's batch axes).
     Only the sum is kept; the product before the bias is not.
     """
-    _check_matmul(x, w)
+    _check_matmul(x.data, w.data)
     x_node, w_node, b_node = x.node, w.node, b.node
     w_data = w.data if x_node is not None else None
     x_data = x.data if w_node is not None else None
@@ -386,6 +354,189 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             w_node.accumulate(np.matmul(np.swapaxes(x_data, -1, -2), g))
     return Tensor(np.matmul(x.data, w.data) + b.data, parents=(x, w, b),
                   backward_fn=bw)
+
+
+def ffn(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """`linear(gelu(linear(h, w1, b1)), w2, b2)` as one tape node, with the
+    same arithmetic; the GELU is the tanh form.
+
+    It keeps `h`, the pre-activation `a` and the weights, not the GELU
+    output. The backward rebuilds that output for w2's gradient, then the
+    GELU's derivative, each from `a` with the forward's numpy calls, and
+    frees each buffer once it is used. It adds to b2, w2, then b1, h, w1.
+    """
+    _check_matmul(h.data, w1.data)
+    a = np.matmul(h.data, w1.data) + b1.data
+    y = 0.5 * a * (1.0 + _gelu_tanh(a))
+    _check_matmul(y, w2.data)
+    out = np.matmul(y, w2.data) + b2.data
+    h_node, w1_node, b1_node, w2_node, b2_node = (
+        t.node for t in (h, w1, b1, w2, b2))
+    into_a = h_node is not None or w1_node is not None or b1_node is not None
+    w1_data = w1.data if h_node is not None else None
+    h_data = h.data if w1_node is not None else None
+    w2_data = w2.data
+
+    def bw(g):
+        if b2_node is not None:
+            b2_node.accumulate(g)
+        t = _gelu_tanh(a)
+        if w2_node is not None:
+            y = 0.5 * a * (1.0 + t)
+            w2_node.accumulate(np.matmul(np.swapaxes(y, -1, -2), g))
+            del y
+        if not into_a:
+            return
+        # the ufunc calls of the GELU derivative `0.5 * (1 + t)
+        # + 0.5 * a * (1 - t*t) * c * (1 + 3*0.044715 * a*a)`, in numpy's
+        # order, written into three buffers; `t`'s ends as a's gradient
+        slope = np.multiply(a, 0.5)
+        t_sq = np.multiply(t, t)
+        np.subtract(1.0, t_sq, out=t_sq)
+        np.multiply(slope, t_sq, out=slope)
+        del t_sq
+        d_inner = np.multiply(a, a)
+        np.multiply(d_inner, 3 * 0.044715, out=d_inner)
+        np.add(d_inner, 1.0, out=d_inner)
+        np.multiply(d_inner, _GELU_C, out=d_inner)
+        np.multiply(slope, d_inner, out=slope)
+        del d_inner
+        np.add(t, 1.0, out=t)
+        np.multiply(t, 0.5, out=t)
+        np.add(t, slope, out=t)
+        del slope
+        # the GELU output's gradient, fitted as its node fitted it
+        g_y = _fit(np.matmul(g, np.swapaxes(w2_data, -1, -2)), a.shape, a.dtype)
+        g_a = np.multiply(g_y, t, out=t)
+        del g_y
+        if b1_node is not None:
+            b1_node.accumulate(g_a)
+        if h_node is not None:
+            h_node.accumulate(np.matmul(g_a, np.swapaxes(w1_data, -1, -2)))
+        if w1_node is not None:
+            w1_node.accumulate(np.matmul(np.swapaxes(h_data, -1, -2), g_a))
+    return Tensor(out, parents=(h, w1, b1, w2, b2), backward_fn=bw)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """[b, heads, n, dk] -> [b, n, heads * dk], a new array."""
+    b, heads, n, dk = x.shape
+    return x.transpose((0, 2, 1, 3)).reshape((b, n, heads * dk))
+
+
+def attend(attn: Tensor, v: Tensor, wo: Tensor, bo: Tensor) -> Tensor:
+    """`linear(merge(matmul(attn, v)), wo, bo)` as one tape node, with the
+    same arithmetic, where merge joins the heads of the [b, heads, n, dk]
+    read-out: [b, n, heads * dk].
+
+    It keeps `attn`, `v` and `wo`, not the merged read-out: the backward
+    rebuilds that for wo's gradient. It adds to bo, wo, then attn, v.
+    """
+    _check_matmul(attn.data, v.data)
+    product = np.matmul(attn.data, v.data)
+    merged = _merge_heads(product)
+    _check_matmul(merged, wo.data)
+    out = np.matmul(merged, wo.data) + bo.data
+    # the shapes of the merged heads, of the heads moved next to the
+    # features and of the product; all three have the product's dtype
+    split_shape = product.transpose((0, 2, 1, 3)).shape
+    merged_shape, product_shape, dtype = merged.shape, product.shape, product.dtype
+    attn_node, v_node, wo_node, bo_node = attn.node, v.node, wo.node, bo.node
+    attn_data, v_data, wo_data = attn.data, v.data, wo.data
+
+    def bw(g):
+        if bo_node is not None:
+            bo_node.accumulate(g)
+        if attn_node is not None or v_node is not None:
+            # each intermediate's gradient, fitted as its node fitted it
+            g_in = _fit(np.matmul(g, np.swapaxes(wo_data, -1, -2)),
+                        merged_shape, dtype)
+            g_in = _fit(g_in.reshape(split_shape), split_shape, dtype)
+            g_in = _fit(g_in.transpose((0, 2, 1, 3)), product_shape, dtype)
+        if wo_node is not None:
+            merged = _merge_heads(np.matmul(attn_data, v_data))
+            wo_node.accumulate(np.matmul(np.swapaxes(merged, -1, -2), g))
+            del merged
+        if attn_node is not None:
+            attn_node.accumulate(np.matmul(g_in, np.swapaxes(v_data, -1, -2)))
+        if v_node is not None:
+            v_node.accumulate(np.matmul(np.swapaxes(attn_data, -1, -2), g_in))
+    return Tensor(out, parents=(attn, v, wo, bo), backward_fn=bw)
+
+
+def gated_bias(d: Tensor, q: Tensor, u: Tensor, v: Tensor, w: Tensor) -> Tensor:
+    """Gated relative position bias for queries `q` over their last axis.
+
+    update gate g_u = sigmoid(q . u), reset gate g_r = sigmoid(q . v):
+        r = d + g_u * d + (1 - g_u) * (w * g_r * d)
+    with d the bias-table entry at the clipped query-key offset. One tape
+    node with the arithmetic of that formula's ops, the `1` a 0-d float64
+    array, so NumPy 2 computes `1 - g_u` and what follows it in float64
+    (module docstring). It keeps its five inputs and the two gates; the
+    backward rebuilds `(w * g_r) * d`. It adds to d the sum's term, then
+    `g_u * d`'s, then `(w * g_r) * d`'s, and to q the update gate's, then
+    the reset gate's.
+    """
+    d_data, q_data, u_data, v_data, w_data = (t.data for t in (d, q, u, v, w))
+    g_up = _sigmoid((q_data * u_data).sum(axis=-1, keepdims=True))
+    g_reset = _sigmoid((q_data * v_data).sum(axis=-1, keepdims=True))
+    up_d = g_up * d_data
+    left = d_data + up_d
+    one_minus = np.asarray(1.0) - g_up   # the bits and type of Tensor(1.0) + -g_up
+    reset_w = w_data * g_reset
+    inner = reset_w * d_data
+    right = one_minus * inner
+    out = left + right
+    # (shape, dtype) of each intermediate whose gradient is fitted
+    spec = {name: (x.shape, x.dtype) for name, x in (
+        ("up_d", up_d), ("left", left), ("one_minus", one_minus),
+        ("reset_w", reset_w), ("inner", inner), ("right", right),
+        ("up", g_up), ("reset", g_reset))}
+    q_by_u = np.broadcast_shapes(q.shape, u.shape)
+    q_by_v = np.broadcast_shapes(q.shape, v.shape)
+    d_node, q_node, u_node, v_node, w_node = (t.node for t in (d, q, u, v, w))
+
+    def into_gate(g_gate, gate, shape, x_data, x_node):
+        """Pass the gradient of gate = sigmoid(sum(q * x)) to q and x. The
+        sum's and the product's gradients need no fitting: they already
+        have those intermediates' shapes and dtypes."""
+        g_prod = np.broadcast_to(g_gate * gate * (1.0 - gate), shape)
+        if q_node is not None:
+            q_node.accumulate(g_prod * x_data)
+        if x_node is not None:
+            x_node.accumulate(g_prod * q_data)
+
+    def bw(g):
+        g_left = _fit(g, *spec["left"])
+        if d_node is not None:
+            d_node.accumulate(g_left)
+        g_up_d = _fit(g_left, *spec["up_d"])
+        del g_left
+        g_up_total = _fit(g_up_d * d_data, *spec["up"])
+        if d_node is not None:
+            d_node.accumulate(g_up_d * g_up)
+        del g_up_d
+        g_right = _fit(g, *spec["right"])
+        g_inner = _fit(g_right * (np.asarray(1.0) - g_up), *spec["inner"])
+        reset_w = w_data * g_reset
+        # named, not a temporary: numpy would compute the product below into
+        # a temporary's buffer, laid out like d, and the sum would then add
+        # in another order than over the composed form's new array
+        inner = reset_w * d_data
+        g_one_minus = _fit(g_right * inner, *spec["one_minus"])
+        del g_right, inner
+        g_neg = _fit(g_one_minus, *spec["up"])    # -g_up's gradient
+        g_up_total = g_up_total + _fit(-g_neg, *spec["up"])
+        into_gate(g_up_total, g_up, q_by_u, u_data, u_node)
+        g_reset_w = _fit(g_inner * d_data, *spec["reset_w"])
+        if d_node is not None:
+            d_node.accumulate(g_inner * reset_w)
+        del g_inner
+        if w_node is not None:
+            w_node.accumulate(g_reset_w * g_reset)
+        into_gate(_fit(g_reset_w * w_data, *spec["reset"]), g_reset, q_by_v,
+                  v_data, v_node)
+    return Tensor(out, parents=(d, q, u, v, w), backward_fn=bw)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from xrtd import align
+from xrtd import align, gradcheck
 from xrtd.cli import ConfigError, DEFAULT_CONFIG, load_config, main
 
 AX_LANGUAGES = [{"lang": "en", "kind": "base", "seed": 0},
@@ -169,6 +169,22 @@ class TestGradcheck:
         assert captured.out == ""
         assert captured.err == ('error code=ValueError msg="--configs must be '
                                 'at least 1"\n')
+
+    def test_only_the_first_loss_builds_a_tape(self, monkeypatch):
+        untaped = []     # per loss_fn call: whether its loss has no node
+        check = gradcheck.finite_difference_check
+
+        def recording_check(loss_fn, params, seed):
+            def recording_loss_fn():
+                loss = loss_fn()
+                untaped.append(loss.node is None)
+                return loss
+            return check(recording_loss_fn, params, seed)
+        monkeypatch.setattr(gradcheck, "finite_difference_check", recording_check)
+        assert gradcheck.check_joint_gradients(0) < 1e-4
+        assert len(untaped) > 1
+        assert untaped[0] is False
+        assert all(untaped[1:])
 
     def test_unreachable_tolerance_fails(self, capsys):
         code = main(["gradcheck", "--seed", "0", "--configs", "1",

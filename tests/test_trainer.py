@@ -6,12 +6,13 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xrtd import serialize
-from xrtd.cli import DEFAULT_CONFIG, main
+from xrtd.cli import DEFAULT_CONFIG, _build_corpus, _model_pair, main
 from xrtd.corpus import LanguageSpec, synth_corpus
 from xrtd.model import init_model_pair, pair_configs
 from xrtd.objectives import joint_loss
@@ -20,6 +21,11 @@ from xrtd.trainer import (METRICS_COLUMNS, Adam, DivergenceError, OptimConfig,
                           _decays, _draw_batches, check_run,
                           heldout_disc_accuracy, load_checkpoint, lr_at,
                           save_checkpoint, train)
+
+
+# traced bytes alive at the end of a default-config forward, with its loss
+# held: tools/memsites.py's "live at the end of the forward" under NumPy 2
+DEFAULT_FORWARD_LIVE_MB = 40.32
 
 
 def small_corpus(seed=0, n=60):
@@ -272,6 +278,25 @@ class TestTrainLoop:
         assert new_nodes == ({id(t.node) for t in named.values()}
                              | {id(total.node)})
         assert all(t.grad is not None for t in named.values())
+
+    def test_default_forward_leaves_no_more_alive_than_measured(self):
+        # one default-config forward, as tools/memsites.py runs it; under
+        # NumPy 1.x layers 1+ compute in float32 and it reads lower
+        config = copy.deepcopy(DEFAULT_CONFIG)
+        corpus = _build_corpus(config)
+        models = _model_pair(config, len(corpus.vocab))
+        optim_cfg, mono, pair = check_run(models, corpus, config, True)
+        rng = np.random.default_rng(config["seed"])
+        batches = _draw_batches(mono, pair, config["data"]["token_budget"],
+                                config["data"]["mask_ratio"], rng)
+        tracemalloc.start()
+        try:
+            total, _ = joint_loss(*batches, models, optim_cfg.lam, rng)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert total.node is not None
+        assert live < 1.1 * DEFAULT_FORWARD_LIVE_MB * 2 ** 20
 
     def test_train_leaves_no_thread_behind(self, tmp_path):
         corpus = small_corpus()
