@@ -95,7 +95,7 @@ def _merge(defaults: Dict, overrides: Dict, path: str = "") -> Dict:
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(defaults[key], dict) and key != "languages":
+        if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where!r} must be a mapping")
             merged[key] = _merge(defaults[key], value, where)

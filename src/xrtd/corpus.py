@@ -14,6 +14,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 RESERVED_TOKENS = ["<pad>", "<mask>", "<bos>", "<eos>", "<sep>"]
+# the reserved tokens' ids: their positions in RESERVED_TOKENS
+PAD, MASK, BOS, EOS, SEP = range(len(RESERVED_TOKENS))
 
 LANGUAGE_KINDS = ("base", "permuted", "reversed", "affix")
 

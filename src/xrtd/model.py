@@ -16,10 +16,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .corpus import PAD
 from .tensor import (Tensor, attend, embedding, ffn, gated_bias, layer_norm,
                      linear, matmul, softmax)
-
-PAD_ID = 0
 
 NEG_INF = -1e9
 
@@ -171,7 +170,7 @@ def encode(ids: np.ndarray, params: ModelParams,
     if ids.size and (ids.min() < 0 or ids.max() >= params.config.vocab_size):
         raise ValueError("token id out of vocabulary range")
     if pad_mask is None:
-        pad_mask = ids != PAD_ID
+        pad_mask = ids != PAD
     key_mask = np.where(pad_mask[:, None, None, :], 0.0, NEG_INF)
     key_mask = key_mask.astype(params["embed"].dtype)
 

@@ -14,11 +14,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .corpus import BOS, EOS, MASK, PAD, SEP
 from .model import ModelPair, ModelParams, encode, mlm_logits, rtd_logits
 from .tensor import (Tensor, binary_cross_entropy_with_logits, gather_rows,
                      joined_sum, softmax_cross_entropy, two_threads)
 
-PAD, MASK, BOS, EOS, SEP = 0, 1, 2, 3, 4
 SPECIAL_IDS = frozenset({PAD, MASK, BOS, EOS, SEP})
 
 
@@ -181,10 +181,10 @@ def discriminator_loss_rtd(corrupt: CorruptedBatch, discriminator: ModelParams):
     b_idx, p_idx = np.nonzero(corrupt.eligible)
     rows = gather_rows(states[-1], b_idx, p_idx)
     logits = rtd_logits(rows, discriminator)
-    labels = corrupt.labels[b_idx, p_idx].astype(np.float64)
+    labels = corrupt.labels[b_idx, p_idx]
     loss = binary_cross_entropy_with_logits(logits, labels)
     predictions = (logits.data > 0).astype(np.int64)
-    accuracy = float((predictions == corrupt.labels[b_idx, p_idx]).mean())
+    accuracy = float((predictions == labels).mean())
     return loss, accuracy, int(b_idx.size)
 
 

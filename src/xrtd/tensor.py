@@ -28,12 +28,16 @@ intermediate included, dies as soon as code drops its `Tensor`.
 A fused node (`linear`, `ffn`, `attend`, `gated_bias`) is one node for a
 composition of simpler ops, and it gives that composed form's bits. Its
 forward replays the composed form's numpy calls in their order. Its backward
-replays the composed walk's arithmetic: it fits each intermediate's
-gradient to that intermediate's shape and dtype, as the intermediate's node
-would have (`_fit`), and adds to each input node in the composed walk's
-order. A sum's bits depend on the order of its terms only per node, so the
-order between different nodes is free. A sum's bits also depend on the
-memory layout of the array it reduces, so a replay keeps the composed
+replays the composed walk's arithmetic: it fits an intermediate's gradient
+to that intermediate's shape and dtype, as the intermediate's node would
+have (`_fit`), wherever the two can differ, and only there, and adds to
+each input node in the composed walk's order. Each gradient rule is written
+once: `_matmul_grads` passes a product's gradient to both operands, for
+`matmul`, `linear` and the fused nodes' products, and `_scatter_grad` passes
+a row lookup's to its table, for `embedding` and `gather_rows`. A sum's
+bits depend on the order of its terms only per node, so the order between
+different nodes is free. A sum's bits also depend on the memory layout of
+the array it reduces, so a replay keeps the composed
 form's layouts too: numpy computes `x * (y * z)` into the temporary's
 buffer, which has the temporary's layout, so a rebuilt product is named
 before it is multiplied, as the composed form's kept one was. A fused node
@@ -109,23 +113,17 @@ def no_grad():
 _second_walk = threading.local()
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 def _fit(g: np.ndarray, shape: tuple, dtype) -> np.ndarray:
-    """`g` summed down to `shape` and cast to `dtype`, as `Node.accumulate`
-    fits a contribution; a fused node fits its intermediates' with it."""
-    g = _unbroadcast(g, shape)
+    """`g` summed down to `shape` (numpy broadcasting undone) and cast to
+    `dtype`, as `Node.accumulate` fits a contribution; a fused node fits its
+    intermediates' with it."""
+    if g.shape != shape:
+        extra = g.ndim - len(shape)
+        if extra > 0:
+            g = g.sum(axis=tuple(range(extra)))
+        axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+        if axes:
+            g = g.sum(axis=axes, keepdims=True)
     return g if g.dtype == dtype else g.astype(dtype)
 
 
@@ -317,19 +315,26 @@ def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
             f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
 
 
-def matmul(a: Tensor, b) -> Tensor:
+def _matmul_grads(g: np.ndarray, a_node: Node | None, a: np.ndarray | None,
+                  b_node: Node | None, b: np.ndarray | None) -> None:
+    """Pass `g`, the gradient of `a @ b`, on: `g @ bᵀ` to `a_node`, then
+    `aᵀ @ g` to `b_node`, each only if the node is not None. An operand
+    is read only for the other operand's node, and may be None otherwise."""
+    if a_node is not None:
+        a_node.accumulate(np.matmul(g, np.swapaxes(b, -1, -2)))
+    if b_node is not None:
+        b_node.accumulate(np.matmul(np.swapaxes(a, -1, -2), g))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with optional leading batch dimensions."""
-    b = _as_tensor(b)
     _check_matmul(a.data, b.data)
     a_node, b_node = a.node, b.node
     b_data = b.data if a_node is not None else None
     a_data = a.data if b_node is not None else None
 
     def bw(g):
-        if a_node is not None:
-            a_node.accumulate(np.matmul(g, np.swapaxes(b_data, -1, -2)))
-        if b_node is not None:
-            b_node.accumulate(np.matmul(np.swapaxes(a_data, -1, -2), g))
+        _matmul_grads(g, a_node, a_data, b_node, b_data)
     return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward_fn=bw)
 
 
@@ -348,10 +353,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         if b_node is not None:
             b_node.accumulate(g)
-        if x_node is not None:
-            x_node.accumulate(np.matmul(g, np.swapaxes(w_data, -1, -2)))
-        if w_node is not None:
-            w_node.accumulate(np.matmul(np.swapaxes(x_data, -1, -2), g))
+        _matmul_grads(g, x_node, x_data, w_node, w_data)
     return Tensor(np.matmul(x.data, w.data) + b.data, parents=(x, w, b),
                   backward_fn=bw)
 
@@ -382,9 +384,7 @@ def ffn(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             b2_node.accumulate(g)
         t = _gelu_tanh(a)
         if w2_node is not None:
-            y = 0.5 * a * (1.0 + t)
-            w2_node.accumulate(np.matmul(np.swapaxes(y, -1, -2), g))
-            del y
+            _matmul_grads(g, None, 0.5 * a * (1.0 + t), w2_node, None)
         if not into_a:
             return
         # the ufunc calls of the GELU derivative `0.5 * (1 + t)
@@ -411,10 +411,7 @@ def ffn(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         del g_y
         if b1_node is not None:
             b1_node.accumulate(g_a)
-        if h_node is not None:
-            h_node.accumulate(np.matmul(g_a, np.swapaxes(w1_data, -1, -2)))
-        if w1_node is not None:
-            w1_node.accumulate(np.matmul(np.swapaxes(h_data, -1, -2), g_a))
+        _matmul_grads(g_a, h_node, h_data, w1_node, w1_data)
     return Tensor(out, parents=(h, w1, b1, w2, b2), backward_fn=bw)
 
 
@@ -437,30 +434,25 @@ def attend(attn: Tensor, v: Tensor, wo: Tensor, bo: Tensor) -> Tensor:
     merged = _merge_heads(product)
     _check_matmul(merged, wo.data)
     out = np.matmul(merged, wo.data) + bo.data
-    # the shapes of the merged heads, of the heads moved next to the
-    # features and of the product; all three have the product's dtype
+    # the shape of the heads moved next to the features
     split_shape = product.transpose((0, 2, 1, 3)).shape
-    merged_shape, product_shape, dtype = merged.shape, product.shape, product.dtype
+    merged_shape, dtype = merged.shape, product.dtype
     attn_node, v_node, wo_node, bo_node = attn.node, v.node, wo.node, bo.node
     attn_data, v_data, wo_data = attn.data, v.data, wo.data
 
     def bw(g):
         if bo_node is not None:
             bo_node.accumulate(g)
+        if wo_node is not None:
+            _matmul_grads(g, None, _merge_heads(np.matmul(attn_data, v_data)),
+                          wo_node, None)
         if attn_node is not None or v_node is not None:
-            # each intermediate's gradient, fitted as its node fitted it
+            # the merged heads' gradient, fitted as their node fitted it; the
+            # reshape and the transpose keep its dtype and give their shapes
             g_in = _fit(np.matmul(g, np.swapaxes(wo_data, -1, -2)),
                         merged_shape, dtype)
-            g_in = _fit(g_in.reshape(split_shape), split_shape, dtype)
-            g_in = _fit(g_in.transpose((0, 2, 1, 3)), product_shape, dtype)
-        if wo_node is not None:
-            merged = _merge_heads(np.matmul(attn_data, v_data))
-            wo_node.accumulate(np.matmul(np.swapaxes(merged, -1, -2), g))
-            del merged
-        if attn_node is not None:
-            attn_node.accumulate(np.matmul(g_in, np.swapaxes(v_data, -1, -2)))
-        if v_node is not None:
-            v_node.accumulate(np.matmul(np.swapaxes(attn_data, -1, -2), g_in))
+            g_in = g_in.reshape(split_shape).transpose((0, 2, 1, 3))
+            _matmul_grads(g_in, attn_node, attn_data, v_node, v_data)
     return Tensor(out, parents=(attn, v, wo, bo), backward_fn=bw)
 
 
@@ -489,9 +481,8 @@ def gated_bias(d: Tensor, q: Tensor, u: Tensor, v: Tensor, w: Tensor) -> Tensor:
     out = left + right
     # (shape, dtype) of each intermediate whose gradient is fitted
     spec = {name: (x.shape, x.dtype) for name, x in (
-        ("up_d", up_d), ("left", left), ("one_minus", one_minus),
-        ("reset_w", reset_w), ("inner", inner), ("right", right),
-        ("up", g_up), ("reset", g_reset))}
+        ("left", left), ("one_minus", one_minus), ("reset_w", reset_w),
+        ("inner", inner), ("up", g_up), ("reset", g_reset))}
     q_by_u = np.broadcast_shapes(q.shape, u.shape)
     q_by_v = np.broadcast_shapes(q.shape, v.shape)
     d_node, q_node, u_node, v_node, w_node = (t.node for t in (d, q, u, v, w))
@@ -507,26 +498,26 @@ def gated_bias(d: Tensor, q: Tensor, u: Tensor, v: Tensor, w: Tensor) -> Tensor:
             x_node.accumulate(g_prod * q_data)
 
     def bw(g):
+        # `g` is `right`'s gradient as it is: `right`'s shape and dtype
+        # contain `left`'s, so they are the output's
         g_left = _fit(g, *spec["left"])
         if d_node is not None:
             d_node.accumulate(g_left)
-        g_up_d = _fit(g_left, *spec["up_d"])
-        del g_left
-        g_up_total = _fit(g_up_d * d_data, *spec["up"])
+        # `g_left` is `up_d`'s too: `left = d + up_d` has up_d's shape and dtype
+        g_up_total = _fit(g_left * d_data, *spec["up"])
         if d_node is not None:
-            d_node.accumulate(g_up_d * g_up)
-        del g_up_d
-        g_right = _fit(g, *spec["right"])
-        g_inner = _fit(g_right * (np.asarray(1.0) - g_up), *spec["inner"])
+            d_node.accumulate(g_left * g_up)
+        del g_left
+        g_inner = _fit(g * (np.asarray(1.0) - g_up), *spec["inner"])
         reset_w = w_data * g_reset
         # named, not a temporary: numpy would compute the product below into
         # a temporary's buffer, laid out like d, and the sum would then add
         # in another order than over the composed form's new array
         inner = reset_w * d_data
-        g_one_minus = _fit(g_right * inner, *spec["one_minus"])
-        del g_right, inner
+        g_one_minus = _fit(g * inner, *spec["one_minus"])
+        del inner
         g_neg = _fit(g_one_minus, *spec["up"])    # -g_up's gradient
-        g_up_total = g_up_total + _fit(-g_neg, *spec["up"])
+        g_up_total = g_up_total + -g_neg    # a negation keeps g_neg's fit
         into_gate(g_up_total, g_up, q_by_u, u_data, u_node)
         g_reset_w = _fit(g_inner * d_data, *spec["reset_w"])
         if d_node is not None:
@@ -539,6 +530,15 @@ def gated_bias(d: Tensor, q: Tensor, u: Tensor, v: Tensor, w: Tensor) -> Tensor:
     return Tensor(out, parents=(d, q, u, v, w), backward_fn=bw)
 
 
+def _scatter_grad(g: np.ndarray, node: Node, index) -> None:
+    """Pass `g`, the gradient of the rows `index` selects from `node`'s
+    tensor, on to `node`: a zero array of its shape with `g` scatter-added
+    at `index`, so a row selected twice gets both terms."""
+    table = np.zeros(node.shape, node.dtype)
+    np.add.at(table, index, g)
+    node.accumulate(table)
+
+
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup `weight[ids]`; backward scatter-adds into the table."""
     ids = np.asarray(ids)
@@ -548,9 +548,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     w_node = weight.node
 
     def bw(g):
-        gw = np.zeros(w_node.shape, w_node.dtype)
-        np.add.at(gw, ids, g)
-        w_node.accumulate(gw)
+        _scatter_grad(g, w_node, ids)
     return Tensor(weight.data[ids], parents=(weight,), backward_fn=bw)
 
 
@@ -561,9 +559,7 @@ def gather_rows(x: Tensor, index0: np.ndarray, index1: np.ndarray) -> Tensor:
     x_node = x.node
 
     def bw(g):
-        gx = np.zeros(x_node.shape, x_node.dtype)
-        np.add.at(gx, (index0, index1), g)
-        x_node.accumulate(gx)
+        _scatter_grad(g, x_node, (index0, index1))
     return Tensor(x.data[index0, index1], parents=(x,), backward_fn=bw)
 
 

@@ -179,6 +179,22 @@ def draw_mono_batch(pools, probs, langs, budget, rng, mask_ratio):
 draw_pair_batch = draw_mono_batch
 
 
+def train_step(models: ModelPair, optimizer: Adam, samplers, data: Dict,
+               rng: np.random.Generator, lr: float) -> Tuple[Tensor, Dict]:
+    """One training step: draw the batches from `samplers` (mono, pair) with
+    the `data` section's budget and mask ratio, build the joint loss, zero
+    the gradients, run the backward and update with Adam at `lr`. Returns
+    (total loss, report) as `joint_loss` does."""
+    mono_batch, pair_batch = _draw_batches(
+        *samplers, data["token_budget"], data["mask_ratio"], rng)
+    total, report = joint_loss(mono_batch, pair_batch, models,
+                               optimizer.config.lam, rng)
+    zero_grads(models.all_parameters().values())
+    backward(total)
+    optimizer.step(lr)
+    return total, report
+
+
 def save_checkpoint(path: str, models: ModelPair, optimizer: Adam,
                     rng: np.random.Generator, step: int, run: Dict) -> None:
     """Checkpoint directory: config.json, params.bin, optim.bin, rng.json.
@@ -303,9 +319,9 @@ def train(models: ModelPair, corpus: Corpus, config: Dict, out_dir: str,
     which describe `models`. A refused run raises before anything is written."""
     optim_cfg, mono, pair = check_run(models, corpus, config, use_trtd)
     os.makedirs(out_dir, exist_ok=True)
-    named = models.all_parameters()
     if resume is None:
-        resume = (Adam(named, optim_cfg), np.random.default_rng(config["seed"]), 0)
+        resume = (Adam(models.all_parameters(), optim_cfg),
+                  np.random.default_rng(config["seed"]), 0)
     optimizer, rng, start_step = resume
     data = config["data"]
     run = {"config": config, "use_trtd": use_trtd}
@@ -318,14 +334,8 @@ def train(models: ModelPair, corpus: Corpus, config: Dict, out_dir: str,
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         for step in range(start_step, optim_cfg.total_steps):
-            mono_batch, pair_batch = _draw_batches(
-                mono, pair, data["token_budget"], data["mask_ratio"], rng)
-            total, report = joint_loss(mono_batch, pair_batch, models,
-                                       optim_cfg.lam, rng)
-            zero_grads(named.values())
-            backward(total)
             lr = lr_at(step + 1, optim_cfg)
-            optimizer.step(lr)
+            _, report = train_step(models, optimizer, (mono, pair), data, rng, lr)
 
             row = {"step": step, "loss_mlm": report["mlm"],
                    "loss_tlm": report["tlm"], "loss_mrtd": report["mrtd"],

@@ -8,6 +8,7 @@ from xrtd.corpus import (RESERVED_TOKENS, Corpus, CorpusStats, LanguageSpec,
                          ToyGrammar, Vocab, build_vocab, draw_batch,
                          gold_alignment, language_sampling_probs, save_corpus_files,
                          synth_corpus, token_map, transform_sentence)
+from xrtd.objectives import BOS, EOS, MASK, PAD, SEP
 
 
 class TestSamplingProbs:
@@ -49,6 +50,14 @@ class TestVocab:
         v = Vocab(["cat", "dog"])
         assert v.id_to_token[:5] == RESERVED_TOKENS
         assert v.token_to_id["cat"] == 5
+
+    def test_each_reserved_id_names_its_token(self):
+        vocab = build_vocab([LanguageSpec("en", "base", 0),
+                             LanguageSpec("pv", "permuted", 1)])
+        for token_id, token in ((PAD, "<pad>"), (MASK, "<mask>"), (BOS, "<bos>"),
+                                (EOS, "<eos>"), (SEP, "<sep>")):
+            assert vocab.id_to_token[token_id] == token
+            assert vocab.token_to_id[token] == token_id
 
     def test_encode_decode_identity(self):
         v = Vocab(["cat", "dog", "bird"])

@@ -16,11 +16,11 @@ from xrtd.cli import DEFAULT_CONFIG, _build_corpus, _model_pair, main
 from xrtd.corpus import LanguageSpec, synth_corpus
 from xrtd.model import init_model_pair, pair_configs
 from xrtd.objectives import joint_loss
-from xrtd.tensor import Node, Tensor, backward, zero_grads
+from xrtd.tensor import Node, Tensor
 from xrtd.trainer import (METRICS_COLUMNS, Adam, DivergenceError, OptimConfig,
                           _decays, _draw_batches, check_run,
                           heldout_disc_accuracy, load_checkpoint, lr_at,
-                          save_checkpoint, train)
+                          save_checkpoint, train, train_step)
 
 
 # traced bytes alive at the end of a default-config forward, with its loss
@@ -261,17 +261,13 @@ class TestTrainLoop:
         corpus = small_corpus()
         models = small_models(len(corpus.vocab))
         run = small_run()
-        optim_cfg, mono, pair = check_run(models, corpus, run, True)
+        optim_cfg, *samplers = check_run(models, corpus, run, True)
         named = models.all_parameters()
         optimizer = Adam(named, optim_cfg)
         rng = np.random.default_rng(0)
         for step in range(2):
-            batches = _draw_batches(mono, pair, run["data"]["token_budget"],
-                                    run["data"]["mask_ratio"], rng)
-            total, _ = joint_loss(*batches, models, optim_cfg.lam, rng)
-            zero_grads(named.values())
-            backward(total)
-            optimizer.step(lr_at(step + 1, optim_cfg))
+            total, _ = train_step(models, optimizer, samplers, run["data"], rng,
+                                  lr_at(step + 1, optim_cfg))
         new = {id(t) for t in live(Tensor) if id(t) not in known}
         assert new == {id(t) for t in named.values()} | {id(total)}
         new_nodes = {id(n) for n in live(Node) if id(n) not in known}

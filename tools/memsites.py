@@ -13,14 +13,15 @@ allocation made outside `tensor.py`, the two are the same). Tracing starts
 after the model is built, so the parameters are not counted. Last it runs
 the step's backward and prints the peak reached during it.
 
-With `--steps N` it runs N default training steps instead, as
-`trainer.train` runs them but without metrics or checkpoints, and reports
-the steady-state steps, the last N - N // 3. It prints their median count of
-minor page faults (`ru_minflt`) per step and their median wall time per
-step, from a pass without tracemalloc, and the highest per-step peak of
-traced bytes, from a second pass of the same steps under tracemalloc started
-before the model is built, so parameters and optimizer moments count. It
-uses the `src/` next to this script and pins BLAS to one thread.
+With `--steps N` it runs N default training steps instead, through
+`trainer.train_step` as `trainer.train` does but without metrics or
+checkpoints, and reports the steady-state steps, the last N - N // 3. It
+prints their median count of minor page faults (`ru_minflt`) per step and
+their median wall time per step, from a pass without tracemalloc, and the
+highest per-step peak of traced bytes, from a second pass of the same steps
+under tracemalloc started before the model is built, so parameters and
+optimizer moments count. It uses the `src/` next to this script and pins
+BLAS to one thread.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from xrtd import cli, trainer  # noqa: E402
 from xrtd.objectives import joint_loss  # noqa: E402
-from xrtd.tensor import backward, zero_grads  # noqa: E402
+from xrtd.tensor import backward  # noqa: E402
 
 MB = 2 ** 20
 
@@ -73,17 +74,12 @@ def training_steps(config, corpus, n: int):
     """Build the default model pair and run `n` training steps, yielding
     after each one."""
     models = cli._model_pair(config, len(corpus.vocab))
-    optim_cfg, mono, pair = trainer.check_run(models, corpus, config, True)
-    named = models.all_parameters()
-    optimizer = trainer.Adam(named, optim_cfg)
+    optim_cfg, *samplers = trainer.check_run(models, corpus, config, True)
+    optimizer = trainer.Adam(models.all_parameters(), optim_cfg)
     rng = np.random.default_rng(config["seed"])
     for step in range(n):
-        batches = trainer._draw_batches(mono, pair, config["data"]["token_budget"],
-                                        config["data"]["mask_ratio"], rng)
-        total, _ = joint_loss(*batches, models, optim_cfg.lam, rng)
-        zero_grads(named.values())
-        backward(total)
-        optimizer.step(trainer.lr_at(step + 1, optim_cfg))
+        trainer.train_step(models, optimizer, samplers, config["data"], rng,
+                           trainer.lr_at(step + 1, optim_cfg))
         yield step
 
 
