@@ -26,8 +26,8 @@ from typing import List, Set, Tuple
 
 import numpy as np
 
+from .corpus import FIRST_CONTENT_ID, PAD
 from .model import ModelParams, encode
-from .objectives import PAD, SPECIAL_IDS
 from .tensor import no_grad
 
 Pair = Tuple[int, int]
@@ -54,7 +54,8 @@ def aer(aset: AlignmentSet) -> float:
 
 
 def content_layers(seqs: List[List[int]], params: ModelParams) -> List[List[np.ndarray]]:
-    """Per layer, the states of each sentence's non-pad, non-special tokens.
+    """Per layer, the states of each sentence's content tokens (the ids from
+    `FIRST_CONTENT_ID` on).
 
     `seqs` are encoded once, as one PAD-padded batch; the result holds one
     list of (content tokens, hidden) arrays per layer, layer 0 being the
@@ -64,7 +65,7 @@ def content_layers(seqs: List[List[int]], params: ModelParams) -> List[List[np.n
     ids = np.full((len(seqs), width), PAD, dtype=np.int64)
     for i, s in enumerate(seqs):
         ids[i, :len(s)] = s
-    content = ~np.isin(ids, sorted(SPECIAL_IDS))
+    content = ids >= FIRST_CONTENT_ID
     empty = np.flatnonzero(~content.any(axis=1))
     if empty.size:
         raise ValueError(f"sentence {empty[0]} has no content tokens")

@@ -3,7 +3,9 @@
 Languages are deterministic, invertible transforms of a small stochastic
 base grammar, so every parallel pair carries a known word-level alignment.
 The tokenizer is whitespace splitting over this closed lexicon; a single
-vocabulary is shared across all languages.
+vocabulary is shared across all languages. The reserved tokens take its first
+ids, so an id is a content token (a word) iff it is at least
+`FIRST_CONTENT_ID`. The other modules use this one rule.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 RESERVED_TOKENS = ["<pad>", "<mask>", "<bos>", "<eos>", "<sep>"]
 # the reserved tokens' ids: their positions in RESERVED_TOKENS
 PAD, MASK, BOS, EOS, SEP = range(len(RESERVED_TOKENS))
+# every id from here on is a word: an id is content iff it is at least this
+FIRST_CONTENT_ID = len(RESERVED_TOKENS)
 
 LANGUAGE_KINDS = ("base", "permuted", "reversed", "affix")
 

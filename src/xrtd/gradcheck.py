@@ -14,6 +14,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
+from .corpus import FIRST_CONTENT_ID
 from .model import ModelPair, init_model_pair, model_pair_from_arrays, pair_configs
 from .objectives import (CorruptedBatch, MaskedBatch, build_masked_batch,
                          discriminator_loss_rtd, generator_loss_mlm,
@@ -73,7 +74,7 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
 def _random_batches(vocab_size: int, rng: np.random.Generator,
                     mask_ratio: float = 0.3):
     def sentence():
-        return [int(rng.integers(5, vocab_size))
+        return [int(rng.integers(FIRST_CONTENT_ID, vocab_size))
                 for _ in range(int(rng.integers(4, 8)))]
 
     mono = build_masked_batch(
@@ -115,8 +116,9 @@ def check_joint_gradients(seed: int) -> float:
                "max_rel_distance": 3, "init_range": 0.4}
     models = widened(init_model_pair(*pair_configs(section, vocab), seed=seed + 1))
     mono, pair = _random_batches(vocab, rng)
-    _, mono_logits = generator_loss_mlm(mono, models.generator)
-    _, pair_logits = generator_loss_tlm(pair, models.generator)
+    with no_grad():          # sampling reads only the logits' values
+        _, mono_logits = generator_loss_mlm(mono, models.generator)
+        _, pair_logits = generator_loss_tlm(pair, models.generator)
     corrupt_mono = sample_corruption(mono, mono_logits, rng)
     corrupt_pair = sample_corruption(pair, pair_logits, rng)
 

@@ -4,6 +4,9 @@ Losses: masked language modeling (MLM) and its translation-pair variant (TLM)
 for the generator; replaced token detection over single sentences (MRTD) and
 concatenated translation pairs (TRTD) for the discriminator. The joint loss
 is `((MLM + lambda * MRTD) + TLM) + lambda * TRTD`, summed in that order.
+
+Only content tokens, the ids from `corpus.FIRST_CONTENT_ID` on, are masked
+and scored; pad and the other reserved tokens never are.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import BOS, EOS, MASK, PAD, SEP
+from .corpus import BOS, EOS, FIRST_CONTENT_ID, MASK, PAD, SEP
 from .model import ModelPair, ModelParams, encode, mlm_logits, rtd_logits
 from .tensor import (Tensor, binary_cross_entropy_with_logits, gather_rows,
                      joined_sum, softmax_cross_entropy, two_threads)
 
-SPECIAL_IDS = frozenset({PAD, MASK, BOS, EOS, SEP})
+SPECIAL_IDS = frozenset(range(FIRST_CONTENT_ID))
 
 
 def wrap_mono(ids: Sequence[int]) -> List[int]:
@@ -34,24 +37,8 @@ def wrap_pair(e_ids: Sequence[int], f_ids: Sequence[int]) -> List[int]:
     return [BOS, *e_ids, EOS, SEP, *f_ids, EOS]
 
 
-class _TokenPositions:
-    """Position masks over the `original` [B, n] ids of a batch."""
-
-    @property
-    def pad_mask(self) -> np.ndarray:
-        return self.original != PAD
-
-    @property
-    def eligible(self) -> np.ndarray:
-        """Positions that are real, maskable content tokens."""
-        mask = self.pad_mask.copy()
-        for special in (MASK, BOS, EOS, SEP):
-            mask &= self.original != special
-        return mask
-
-
 @dataclass
-class MaskedBatch(_TokenPositions):
+class MaskedBatch:
     original: np.ndarray                 # [B, n] int64, PAD-padded
     masked: np.ndarray                   # [B, n], mask positions -> MASK
     mask_positions: List[np.ndarray]     # sorted positions per sequence
@@ -63,7 +50,7 @@ class MaskedBatch(_TokenPositions):
 
 
 @dataclass
-class CorruptedBatch(_TokenPositions):
+class CorruptedBatch:
     original: np.ndarray
     corrupt: np.ndarray
     labels: np.ndarray                   # [B, n], 1 = replaced
@@ -72,14 +59,14 @@ class CorruptedBatch(_TokenPositions):
 def select_mask_positions(ids: Sequence[int], mask_ratio: float,
                           rng: np.random.Generator,
                           lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Uniform sample of positions to mask, never touching special tokens.
+    """Uniform sample of positions to mask among the content tokens, the
+    ids from `FIRST_CONTENT_ID` on; pad and the other reserved tokens are
+    never masked.
 
     `lo`/`hi` optionally restrict eligibility to a half-open span (used for
     the two segments of a translation pair).
     """
-    hi = len(ids) if hi is None else hi
-    eligible = np.array([p for p in range(lo, hi) if ids[p] not in SPECIAL_IDS],
-                        dtype=np.int64)
+    eligible = lo + np.flatnonzero(np.asarray(ids[lo:hi]) >= FIRST_CONTENT_ID)
     if eligible.size == 0:
         raise ValueError("no maskable positions in sequence")
     count = max(1, int(round(mask_ratio * eligible.size)))
@@ -120,7 +107,8 @@ def _mask_index(batch: MaskedBatch) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _generator_loss(batch: MaskedBatch, generator: ModelParams):
-    states = encode(batch.masked, generator, pad_mask=batch.pad_mask)
+    # masking writes MASK over content tokens only: its pads are the original's
+    states = encode(batch.masked, generator)
     b_idx, p_idx = _mask_index(batch)
     rows = gather_rows(states[-1], b_idx, p_idx)
     logits = mlm_logits(rows, generator)
@@ -175,10 +163,14 @@ def _corrupt(batch: MaskedBatch, generator_logits: np.ndarray,
 def discriminator_loss_rtd(corrupt: CorruptedBatch, discriminator: ModelParams):
     """Binary replaced-vs-original cross-entropy over all content positions.
 
-    Special and pad positions are not scored. Returns (loss, accuracy, count).
+    Special and pad positions are not scored. The attention mask and the
+    scored positions come from the original ids: a sampled replacement may
+    be PAD or another reserved id, and its position still counts. Returns
+    (loss, accuracy, count).
     """
-    states = encode(corrupt.corrupt, discriminator, pad_mask=corrupt.pad_mask)
-    b_idx, p_idx = np.nonzero(corrupt.eligible)
+    states = encode(corrupt.corrupt, discriminator,
+                    pad_mask=corrupt.original != PAD)
+    b_idx, p_idx = np.nonzero(corrupt.original >= FIRST_CONTENT_ID)
     rows = gather_rows(states[-1], b_idx, p_idx)
     logits = rtd_logits(rows, discriminator)
     labels = corrupt.labels[b_idx, p_idx]

@@ -33,8 +33,10 @@ to that intermediate's shape and dtype, as the intermediate's node would
 have (`_fit`), wherever the two can differ, and only there, and adds to
 each input node in the composed walk's order. Each gradient rule is written
 once: `_matmul_grads` passes a product's gradient to both operands, for
-`matmul`, `linear` and the fused nodes' products, and `_scatter_grad` passes
-a row lookup's to its table, for `embedding` and `gather_rows`. A sum's
+`matmul`, `linear` and the fused nodes' products; its `g @ bᵀ` half is
+`_left_grad`, which `ffn` and `attend` also call for the gradient of a
+rebuilt intermediate, which has no node. `_scatter_grad` passes a row
+lookup's gradient to its table, for `embedding` and `gather_rows`. A sum's
 bits depend on the order of its terms only per node, so the order between
 different nodes is free. A sum's bits also depend on the memory layout of
 the array it reduces, so a replay keeps the composed
@@ -315,13 +317,19 @@ def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
             f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
 
 
+def _left_grad(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`g @ bᵀ`: the gradient of `a @ b` with respect to `a`, given `g`."""
+    return np.matmul(g, np.swapaxes(b, -1, -2))
+
+
 def _matmul_grads(g: np.ndarray, a_node: Node | None, a: np.ndarray | None,
                   b_node: Node | None, b: np.ndarray | None) -> None:
-    """Pass `g`, the gradient of `a @ b`, on: `g @ bᵀ` to `a_node`, then
-    `aᵀ @ g` to `b_node`, each only if the node is not None. An operand
-    is read only for the other operand's node, and may be None otherwise."""
+    """Pass `g`, the gradient of `a @ b`, on: `g @ bᵀ` (`_left_grad`) to
+    `a_node`, then `aᵀ @ g` to `b_node`, each only if the node is not None.
+    An operand is read only for the other operand's node, and may be None
+    otherwise."""
     if a_node is not None:
-        a_node.accumulate(np.matmul(g, np.swapaxes(b, -1, -2)))
+        a_node.accumulate(_left_grad(g, b))
     if b_node is not None:
         b_node.accumulate(np.matmul(np.swapaxes(a, -1, -2), g))
 
@@ -406,7 +414,7 @@ def ffn(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         np.add(t, slope, out=t)
         del slope
         # the GELU output's gradient, fitted as its node fitted it
-        g_y = _fit(np.matmul(g, np.swapaxes(w2_data, -1, -2)), a.shape, a.dtype)
+        g_y = _fit(_left_grad(g, w2_data), a.shape, a.dtype)
         g_a = np.multiply(g_y, t, out=t)
         del g_y
         if b1_node is not None:
@@ -449,8 +457,7 @@ def attend(attn: Tensor, v: Tensor, wo: Tensor, bo: Tensor) -> Tensor:
         if attn_node is not None or v_node is not None:
             # the merged heads' gradient, fitted as their node fitted it; the
             # reshape and the transpose keep its dtype and give their shapes
-            g_in = _fit(np.matmul(g, np.swapaxes(wo_data, -1, -2)),
-                        merged_shape, dtype)
+            g_in = _fit(_left_grad(g, wo_data), merged_shape, dtype)
             g_in = g_in.reshape(split_shape).transpose((0, 2, 1, 3))
             _matmul_grads(g_in, attn_node, attn_data, v_node, v_data)
     return Tensor(out, parents=(attn, v, wo, bo), backward_fn=bw)

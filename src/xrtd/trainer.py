@@ -15,7 +15,7 @@ import math
 import os
 import shutil
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -97,44 +97,24 @@ class Adam:
         """Apply one update; returns the pre-clip global gradient norm."""
         cfg = self.config
         grads: Dict[str, np.ndarray] = {}
-        sq_sum = 0.0
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise RuntimeError(f"non-finite gradient in parameter {name!r}")
-            g = g.astype(np.float64)
-            grads[name] = g
-            sq_sum += float((g * g).sum())
-        norm = math.sqrt(sq_sum)
+            grads[name] = g.astype(np.float64)
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         scale = cfg.grad_clip / norm if norm > cfg.grad_clip else 1.0
         self.t += 1
         b1, b2 = cfg.adam_betas
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            # In place, in the operand order and dtypes of
-            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-            #   p -= lr * (m/c1) / (sqrt(v/c2) + eps)
-            # so each step rounds exactly as the out-of-place form.
-            g, m, v = grads[name], self.m[name], self.v[name]
-            np.multiply(g, scale, out=g)
+            g = grads[name] * scale
             if cfg.weight_decay > 0 and _decays(name):
-                decay = np.multiply(lr * cfg.weight_decay, p.data)
-                np.subtract(p.data, decay, out=p.data, casting="unsafe")
-            tmp = np.multiply(1 - b1, g)
-            np.multiply(b1, m, out=m)
-            np.add(m, tmp, out=m)
-            np.multiply(1 - b2, g, out=tmp)
-            np.multiply(tmp, g, out=tmp)
-            np.multiply(b2, v, out=v)
-            np.add(v, tmp, out=v)
-            update = np.divide(m, c1, out=g)
-            np.multiply(lr, update, out=update)
-            denom = np.divide(v, c2, out=tmp)
-            np.sqrt(denom, out=denom)
-            np.add(denom, cfg.adam_eps, out=denom)
-            np.divide(update, denom, out=update)
-            np.subtract(p.data, update, out=p.data, casting="unsafe")
+                p.data -= lr * cfg.weight_decay * p.data
+            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
         return norm
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
@@ -285,7 +265,6 @@ def load_checkpoint(path: str):
 class TrainResult:
     final_checkpoint: str
     metrics_path: str
-    history: List[dict]
 
 
 def check_run(models: ModelPair, corpus: Corpus, config: Dict, use_trtd: bool):
@@ -327,7 +306,6 @@ def train(models: ModelPair, corpus: Corpus, config: Dict, out_dir: str,
     run = {"config": config, "use_trtd": use_trtd}
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    history: List[dict] = []
     initial_total = None
     diverged_streak = 0
     with open(metrics_path, "w", newline="") as fh:
@@ -343,7 +321,6 @@ def train(models: ModelPair, corpus: Corpus, config: Dict, out_dir: str,
                    "disc_accuracy": report["disc_accuracy"], "lr": lr,
                    "loss_total": report["total"]}
             writer.writerow([row[c] for c in METRICS_COLUMNS])
-            history.append(row)
 
             if initial_total is None:
                 initial_total = report["total"]
@@ -362,7 +339,7 @@ def train(models: ModelPair, corpus: Corpus, config: Dict, out_dir: str,
 
     final = os.path.join(out_dir, "ckpt_final")
     save_checkpoint(final, models, optimizer, rng, optim_cfg.total_steps, run)
-    return TrainResult(final, metrics_path, history)
+    return TrainResult(final, metrics_path)
 
 
 def heldout_disc_accuracy(models: ModelPair, corpus: Corpus, seed: int,

@@ -58,6 +58,16 @@ class TestMaskSelection:
             pos = select_mask_positions(ids, 0.5, rng)
             assert all(ids[p] not in SPECIAL_IDS for p in pos)
 
+    def test_ratio_one_selects_every_content_position_in_the_span(self):
+        rng = np.random.default_rng(6)
+        ids = wrap_pair([7, 8, 9], [10, 11])
+        f_start = ids.index(SEP) + 1
+        for lo, hi in ((0, f_start), (f_start, None), (0, None)):
+            span = range(lo, len(ids) if hi is None else hi)
+            pos = select_mask_positions(ids, 1.0, rng, lo, hi)
+            assert pos.dtype == np.int64
+            assert pos.tolist() == [p for p in span if ids[p] not in SPECIAL_IDS]
+
     def test_no_eligible_positions_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
@@ -268,6 +278,46 @@ class TestDiscriminatorLoss:
         z = labels[0, 1:6].astype(float)
         manual = (np.maximum(x, 0) - x * z + np.log1p(np.exp(-np.abs(x)))).sum()
         assert loss.item() == pytest.approx(manual, abs=1e-8)
+
+    def test_reserved_replacements_stay_attended_and_scored(self, monkeypatch):
+        # the generator may sample PAD or another reserved id; the position
+        # is still a content token of the original, so the discriminator
+        # attends to it, scores it and labels it replaced
+        models = tiny_pair(vocab_size=20)
+        original = np.array([wrap_mono([6, 7, 8, 9, 10]) + [PAD],
+                             wrap_mono([11, 12, 13, 14, 15, 16])])
+        masked = original.copy()
+        masked[0, [2, 4]] = MASK
+        batch = MaskedBatch(original, masked,
+                            [np.array([2, 4]), np.array([], dtype=np.int64)])
+        logits = np.full((2, 20), -100.0)
+        logits[0, PAD] = logits[1, SEP] = 100.0
+        corrupt = sample_corruption(batch, logits, np.random.default_rng(18))
+        assert corrupt.corrupt[0, 2] == PAD and corrupt.corrupt[0, 4] == SEP
+
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                seen[name] = (args, fn(*args, **kwargs))
+                return seen[name][1]
+            monkeypatch.setattr(f"xrtd.objectives.{name}", wrapped)
+        spy("encode", encode)
+        spy("gather_rows", gather_rows)
+        _, _, count = discriminator_loss_rtd(corrupt, models.discriminator)
+
+        attended = encode(corrupt.corrupt, models.discriminator,
+                          pad_mask=original != PAD)
+        unattended = encode(corrupt.corrupt, models.discriminator)
+        # the setup is one where the two masks give different states
+        assert not np.allclose(attended[-1].data[0, :6], unattended[-1].data[0, :6])
+        assert np.array_equal(seen["encode"][1][-1].data, attended[-1].data)
+        _, b_idx, p_idx = seen["gather_rows"][0]
+        scored = set(zip(b_idx.tolist(), p_idx.tolist()))
+        assert {(0, 2), (0, 4)} <= scored
+        assert count == len(scored) == 11     # every content token
+        assert corrupt.labels[0, 2] == corrupt.labels[0, 4] == 1
+
 
 class TestJointLoss:
     def make_batches(self, seed):
