@@ -28,7 +28,7 @@ from .corpus import (Corpus, LanguageSpec, gold_alignment, synth_corpus,
 from .gradcheck import check_joint_gradients
 from .model import init_model_pair, pair_configs
 from .objectives import wrap_mono
-from .trainer import check_run, load_checkpoint, train
+from .trainer import check_run, load_checkpoint, load_optimizer, train
 
 DEFAULT_CONFIG: Dict = {
     "seed": 0,
@@ -163,11 +163,11 @@ def cmd_pretrain(args) -> int:
     config = load_config(args.config)
     corpus = _build_corpus(config)
     if args.resume:
-        models, optimizer, rng, step, run = load_checkpoint(args.resume)
+        models, rng, step, run = load_checkpoint(args.resume)
         _refuse_changed(args.resume,
                         {**run["config"], "--no-trtd": not run["use_trtd"]},
                         {**config, "--no-trtd": args.no_trtd}, RESUME_KEYS)
-        resume = (optimizer, rng, step)
+        resume = (load_optimizer(args.resume, models, step, run), rng, step)
     else:
         models, resume = _model_pair(config, len(corpus.vocab)), None
     check_run(models, corpus, config, not args.no_trtd)   # fails before any output
@@ -186,7 +186,7 @@ def cmd_eval(args) -> int:
             raise ValueError(f"{key} must be at least {least}")
     if ev["ot_eps"] <= 0:
         raise ValueError("ot_eps must be positive")
-    models, _, _, _, run = load_checkpoint(args.checkpoint)
+    models, _, _, run = load_checkpoint(args.checkpoint)
     _refuse_changed(args.checkpoint, run["config"], config, EVAL_KEYS)
     specs = _specs(config)
     # fresh parallel sentences, never batched for training

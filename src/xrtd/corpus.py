@@ -10,6 +10,7 @@ ids, so an id is a content token (a word) iff it is at least
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -140,6 +141,13 @@ class ToyGrammar:
                 + self.noun_phrase(obj, oa))
 
 
+@functools.cache
+def default_grammar() -> ToyGrammar:
+    """The one `ToyGrammar()` of the process: it is deterministic (seed 9),
+    takes milliseconds to build and nothing mutates it."""
+    return ToyGrammar()
+
+
 def token_map(spec: LanguageSpec, grammar: ToyGrammar) -> Dict[str, str]:
     """Deterministic base-word -> language-surface mapping.
 
@@ -197,7 +205,7 @@ def build_vocab(specs: Sequence[LanguageSpec],
     """
     if len(specs) < 2 or sum(s.kind == "base" for s in specs) != 1:
         raise ValueError("need >=2 languages with exactly one base language")
-    grammar = grammar or ToyGrammar()
+    grammar = grammar or default_grammar()
     tokens: List[str] = list(grammar.anchors)
     for spec in specs:
         mapping = token_map(spec, grammar)
@@ -217,7 +225,7 @@ def synth_corpus(specs: Sequence[LanguageSpec], n_sentences: int,
     pair objectives bind the languages' representations together.
     """
     specs = list(specs)
-    grammar = grammar or ToyGrammar()
+    grammar = grammar or default_grammar()
     vocab = build_vocab(specs, grammar)
 
     sentences = [grammar.sample_sentence(rng) for _ in range(n_sentences)]

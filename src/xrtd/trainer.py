@@ -216,29 +216,45 @@ def _vocab_size(config: Dict) -> int:
     return len(build_vocab([LanguageSpec(**e) for e in config["data"]["languages"]]))
 
 
+def _check_shapes(path: str, found: Dict[str, tuple],
+                  expected: Dict[str, tuple]) -> None:
+    """Raises a ValueError that names the tensors missing from, or extra
+    in, the `found` names and shapes of the file `path`, or else the first
+    tensor whose shape differs from the `expected` one."""
+    missing = sorted(expected.keys() - found.keys())
+    if missing:
+        raise ValueError(f"{path}: missing tensor {', '.join(missing)}")
+    extra = sorted(found.keys() - expected.keys())
+    if extra:
+        raise ValueError(f"{path}: unexpected tensor {', '.join(extra)}")
+    for name, shape in expected.items():
+        if found[name] != shape:
+            raise ValueError(f"{path}: tensor {name} has shape "
+                             f"{found[name]}, the model expects {shape}")
+
+
 def _load_checked(path: str, shapes: Dict[str, tuple]) -> Dict[str, np.ndarray]:
     """The arrays in `path`, which must be exactly the named `shapes`."""
     arrays = serialize.load_arrays(path)
-    missing = sorted(shapes.keys() - arrays.keys())
-    if missing:
-        raise ValueError(f"{path}: missing tensor {', '.join(missing)}")
-    extra = sorted(arrays.keys() - shapes.keys())
-    if extra:
-        raise ValueError(f"{path}: unexpected tensor {', '.join(extra)}")
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ValueError(f"{path}: tensor {name} has shape "
-                             f"{arrays[name].shape}, the model expects {shape}")
+    _check_shapes(path, {name: a.shape for name, a in arrays.items()}, shapes)
     return arrays
 
 
+def _moment_shapes(layout: Dict[str, tuple]) -> Dict[str, tuple]:
+    """Name and shape of each array in optim.bin, for parameters `layout`."""
+    return {f"{kind}/{name}": shape for name, shape in layout.items()
+            for kind in "mv"}
+
+
 def load_checkpoint(path: str):
-    """Returns (models, optimizer, rng, step, run), `run` being the run record.
+    """Returns (models, rng, step, run), `run` being the run record.
 
     The model pair is the one the record's `model` section and languages
-    describe. Every tensor in params.bin and optim.bin must match it by name
-    and shape; a mismatch raises a ValueError that names the tensor. A
-    checkpoint without a run record raises a ValueError.
+    describe. Every tensor in params.bin, and every record header in
+    optim.bin, must match it by name and shape; a mismatch raises a
+    ValueError that names the tensor. A checkpoint without a run record
+    raises a ValueError. No optimizer moment is read: `load_optimizer` reads
+    them for a resume.
     """
     with open(os.path.join(path, "config.json")) as fh:
         saved = json.load(fh)
@@ -250,15 +266,23 @@ def load_checkpoint(path: str):
     layout = pair_layout(*configs)
     arrays = _load_checked(os.path.join(path, "params.bin"), layout)
     models = model_pair_from_arrays(*configs, arrays)
-    moments = _load_checked(os.path.join(path, "optim.bin"),
-                            {f"{kind}/{name}": shape for name, shape in layout.items()
-                             for kind in "mv"})
-    optimizer = Adam(models.all_parameters(), OptimConfig(**run["config"]["optim"]),
-                     moments, saved["step"])
+    optim_path = os.path.join(path, "optim.bin")
+    _check_shapes(optim_path, serialize.load_shapes(optim_path),
+                  _moment_shapes(layout))
+    OptimConfig(**run["config"]["optim"])   # the optim section must be valid too
     rng = np.random.default_rng()
     with open(os.path.join(path, "rng.json")) as fh:
         rng.bit_generator.state = json.load(fh)
-    return models, optimizer, rng, saved["step"], run
+    return models, rng, saved["step"], run
+
+
+def load_optimizer(path: str, models: ModelPair, step: int, run: Dict) -> Adam:
+    """The Adam state of the checkpoint at `path`, whose `models`, `step`
+    and run record `run` `load_checkpoint` returned."""
+    params = models.all_parameters()
+    moments = _load_checked(os.path.join(path, "optim.bin"), _moment_shapes(
+        {name: p.data.shape for name, p in params.items()}))
+    return Adam(params, OptimConfig(**run["config"]["optim"]), moments, step)
 
 
 @dataclass

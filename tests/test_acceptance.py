@@ -19,7 +19,7 @@ import pytest
 
 from xrtd import cli
 from xrtd.align import (AlignmentSet, aer, mutual_argmax_pairs, sinkhorn_plan)
-from xrtd.corpus import (CorpusStats, ToyGrammar, draw_batch,
+from xrtd.corpus import (FIRST_CONTENT_ID, CorpusStats, ToyGrammar, draw_batch,
                          language_sampling_probs, synth_corpus)
 from xrtd.gradcheck import check_joint_gradients
 from xrtd.model import (ModelConfig, _clipped_offsets, gated_bias,
@@ -138,12 +138,15 @@ def test_criterion_5_corruption_contract():
         paired = rng.random() < 0.5
         for _ in range(n_seqs):
             if paired:
-                e = list(rng.integers(5, vocab, size=int(rng.integers(2, 6))))
-                f = list(rng.integers(5, vocab, size=int(rng.integers(2, 6))))
+                e = list(rng.integers(FIRST_CONTENT_ID, vocab,
+                                      size=int(rng.integers(2, 6))))
+                f = list(rng.integers(FIRST_CONTENT_ID, vocab,
+                                      size=int(rng.integers(2, 6))))
                 seqs.append(wrap_pair(e, f))
             else:
                 seqs.append(wrap_mono(
-                    list(rng.integers(5, vocab, size=int(rng.integers(2, 8))))))
+                    list(rng.integers(FIRST_CONTENT_ID, vocab,
+                                      size=int(rng.integers(2, 8))))))
         batch = build_masked_batch(seqs, float(rng.uniform(0.1, 0.5)), rng)
         n_masked = sum(len(p) for p in batch.mask_positions)
         logits = rng.normal(size=(n_masked, vocab))
@@ -285,7 +288,7 @@ def test_criterion_9_layer_curve_shape(e2e):
 
 def test_criterion_10_training_health(e2e):
     config = cli.load_config(None)
-    models, _, _, _, _ = load_checkpoint(
+    models, _, _, _ = load_checkpoint(
         os.path.join(e2e["paths"]["full"], "ckpt_final"))
     heldout = synth_corpus([cli.LanguageSpec(**e)
                             for e in config["data"]["languages"]],

@@ -6,6 +6,7 @@ import pytest
 from xrtd.align import (AlignmentSet, aer, content_layers, layer_sweep_aer,
                         layer_sweep_retrieval, mutual_argmax_pairs, ot_align,
                         pooled_layers, retrieve_acc1, sinkhorn_plan, sinkhorn_plans)
+from xrtd.corpus import FIRST_CONTENT_ID
 from xrtd.model import ModelConfig, encode, init_params
 from xrtd.objectives import wrap_mono
 
@@ -27,7 +28,8 @@ class TestContentStates:
         # each sentence's states exactly as an encode of it alone does
         params = small_params(vocab_size=60, layers=3, seed=2)
         rng = np.random.default_rng(10)
-        seqs = [wrap_mono(list(rng.integers(5, 60, size=10))) for _ in range(7)]
+        seqs = [wrap_mono(list(rng.integers(FIRST_CONTENT_ID, 60, size=10)))
+                for _ in range(7)]
         batched = content_layers(seqs, params)
         assert len(batched) == 4
         for i, ids in enumerate(seqs):
@@ -97,8 +99,10 @@ class TestRetrieval:
     def test_untrained_model_is_near_chance(self):
         params = small_params(vocab_size=300, seed=3)
         rng = np.random.default_rng(1)
-        src = [wrap_mono(list(rng.integers(5, 300, size=6))) for _ in range(100)]
-        tgt = [wrap_mono(list(rng.integers(5, 300, size=6))) for _ in range(100)]
+        src = [wrap_mono(list(rng.integers(FIRST_CONTENT_ID, 300, size=6)))
+               for _ in range(100)]
+        tgt = [wrap_mono(list(rng.integers(FIRST_CONTENT_ID, 300, size=6)))
+               for _ in range(100)]
         acc, _ = retrieve_acc1(pooled(src, params)[1], pooled(tgt, params)[1])
         assert acc < 0.15
 
@@ -265,8 +269,10 @@ class TestLayerSweeps:
     def test_retrieval_sweep_directions_match_pooled_states(self):
         params = small_params(vocab_size=60, layers=2, seed=4)
         rng = np.random.default_rng(9)
-        src = [wrap_mono(list(rng.integers(5, 60, size=4))) for _ in range(12)]
-        tgt = [wrap_mono(list(rng.integers(5, 60, size=3))) for _ in range(12)]
+        src = [wrap_mono(list(rng.integers(FIRST_CONTENT_ID, 60, size=4)))
+               for _ in range(12)]
+        tgt = [wrap_mono(list(rng.integers(FIRST_CONTENT_ID, 60, size=3)))
+               for _ in range(12)]
         rows = layer_sweep_retrieval(content_layers(src, params),
                                      content_layers(tgt, params))
         for (_, fwd, bwd), s, t in zip(rows, pooled(src, params),
@@ -300,10 +306,12 @@ class TestLayerSweeps:
         params = small_params(vocab_size=60, layers=3, seed=7)
         rng = np.random.default_rng(12)
         lengths = [(3, 3), (5, 4), (3, 3), (4, 6), (5, 4), (2, 5), (3, 3), (4, 6)]
-        e = content_layers([wrap_mono(list(rng.integers(5, 60, size=n)))
-                            for n, _ in lengths], params)
-        f = content_layers([wrap_mono(list(rng.integers(5, 60, size=m)))
-                            for _, m in lengths], params)
+        e = content_layers(
+            [wrap_mono(list(rng.integers(FIRST_CONTENT_ID, 60, size=n)))
+             for n, _ in lengths], params)
+        f = content_layers(
+            [wrap_mono(list(rng.integers(FIRST_CONTENT_ID, 60, size=m)))
+             for _, m in lengths], params)
         gold = []
         for n, m in lengths:
             sure = {(i, int(rng.integers(m))) for i in range(n) if rng.random() < 0.7}

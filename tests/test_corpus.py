@@ -165,6 +165,18 @@ class TestSynthCorpus:
         self.make(n=300)
         assert calls == {"en": 2, "pv": 2, "rv": 2}
 
+    def test_default_grammar_is_built_once(self, monkeypatch):
+        specs, corpus = self.make(n=20)
+        fresh = synth_corpus(specs, 20, np.random.default_rng(0), ToyGrammar())
+        assert (corpus.mono, corpus.parallel) == (fresh.mono, fresh.parallel)
+        grammar = corpus_module.default_grammar()
+        built = []
+        monkeypatch.setattr(ToyGrammar, "__init__",
+                            lambda self, seed=9: built.append(seed))
+        self.make(n=20)
+        build_vocab(specs)
+        assert built == [] and corpus_module.default_grammar() is grammar
+
     def test_mono_sentences_are_transformed_base_sentences(self):
         specs = [LanguageSpec("en", "base", 0), LanguageSpec("pv", "permuted", 1),
                  LanguageSpec("rv", "reversed", 2), LanguageSpec("ax", "affix", 3)]

@@ -6,6 +6,7 @@ import pytest
 
 from xrtd import model
 from xrtd.cli import DEFAULT_CONFIG, _build_corpus
+from xrtd.corpus import FIRST_CONTENT_ID
 from xrtd.model import (ModelConfig, _clipped_offsets, attention_weights,
                         encode, gated_bias, init_model_pair, init_params,
                         mlm_logits, pair_configs, rtd_logits)
@@ -141,7 +142,7 @@ class TestAttention:
 
     def test_rows_sum_to_one(self):
         params = init_params(small_config(), seed=1)
-        ids = np.random.default_rng(0).integers(5, 20, size=(3, 6))
+        ids = np.random.default_rng(0).integers(FIRST_CONTENT_ID, 20, size=(3, 6))
         h = self._hidden(params, ids)
         key_mask = np.zeros((3, 1, 1, 6), dtype=np.float32)
         attn, _ = attention_weights(h, params, 0, key_mask)
@@ -184,7 +185,7 @@ class TestAttention:
     def test_no_dead_gate_parameters(self):
         cfg = small_config()
         params = init_params(cfg, seed=3)
-        ids = np.random.default_rng(1).integers(5, 20, size=(2, 5))
+        ids = np.random.default_rng(1).integers(FIRST_CONTENT_ID, 20, size=(2, 5))
         zero_grads(params.tensors.values())
         loss = encode(ids, params)[-1].sum()
         backward(loss)
@@ -214,7 +215,7 @@ class TestEncode:
 
     def test_batch_permutation_equivariance(self):
         params = init_params(small_config(), seed=0)
-        ids = np.random.default_rng(2).integers(5, 20, size=(3, 4))
+        ids = np.random.default_rng(2).integers(FIRST_CONTENT_ID, 20, size=(3, 4))
         out = encode(ids, params)[-1].data
         perm = [2, 0, 1]
         out_perm = encode(ids[perm], params)[-1].data

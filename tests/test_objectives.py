@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from xrtd.corpus import FIRST_CONTENT_ID
 from xrtd.gradcheck import widened
 from xrtd.model import ModelConfig, encode, init_model_pair, init_params, mlm_logits
 from xrtd.objectives import (BOS, EOS, MASK, PAD, SEP, SPECIAL_IDS,
@@ -26,16 +27,16 @@ def tiny_pair(vocab_size=100, seed=0):
 
 
 def random_mono_batch(rng, vocab_size=100, n_seqs=4, ratio=0.15):
-    seqs = [wrap_mono([int(rng.integers(5, vocab_size))
+    seqs = [wrap_mono([int(rng.integers(FIRST_CONTENT_ID, vocab_size))
                        for _ in range(int(rng.integers(4, 12)))])
             for _ in range(n_seqs)]
     return build_masked_batch(seqs, ratio, rng)
 
 
 def random_pair_batch(rng, vocab_size=100, n_seqs=4, ratio=0.15):
-    wrapped = [wrap_pair([int(rng.integers(5, vocab_size))
+    wrapped = [wrap_pair([int(rng.integers(FIRST_CONTENT_ID, vocab_size))
                           for _ in range(int(rng.integers(4, 9)))],
-                         [int(rng.integers(5, vocab_size))
+                         [int(rng.integers(FIRST_CONTENT_ID, vocab_size))
                           for _ in range(int(rng.integers(4, 9)))])
                for _ in range(n_seqs)]
     return build_masked_batch(wrapped, ratio, rng)

@@ -19,8 +19,8 @@ from xrtd.objectives import joint_loss
 from xrtd.tensor import Node, Tensor
 from xrtd.trainer import (METRICS_COLUMNS, Adam, DivergenceError, OptimConfig,
                           _decays, _draw_batches, check_run,
-                          heldout_disc_accuracy, load_checkpoint, lr_at,
-                          save_checkpoint, train, train_step)
+                          heldout_disc_accuracy, load_checkpoint, load_optimizer,
+                          lr_at, save_checkpoint, train, train_step)
 
 
 # traced bytes alive at the end of a default-config forward, with its loss
@@ -227,7 +227,7 @@ class TestTrainLoop:
         result = train(models, corpus, small_run(total=10), str(tmp_path / "run"),
                        True, resume=(optim, np.random.default_rng(0), 10))
         assert metrics_rows(result) == []
-        loaded, _, _, step, _ = load_checkpoint(result.final_checkpoint)
+        loaded, _, step, _ = load_checkpoint(result.final_checkpoint)
         assert step == 10
         for k, t in loaded.all_parameters().items():
             assert np.array_equal(t.data, before[k])
@@ -325,8 +325,9 @@ class TestTrainLoop:
         full = train(models, corpus, small_run(total=40, seed=5),
                      str(tmp_path / "full"), True)
 
-        loaded, optim, rng, step, _ = load_checkpoint(
+        loaded, rng, step, run = load_checkpoint(
             str(tmp_path / "full" / "ckpt_20"))
+        optim = load_optimizer(str(tmp_path / "full" / "ckpt_20"), loaded, step, run)
         assert step == 20
         resumed = train(loaded, corpus,
                         small_run(total=40, seed=5, checkpoint_every=0),
@@ -337,8 +338,8 @@ class TestTrainLoop:
         assert len(resumed_rows) == len(tail) == 20
         for a, b in zip(resumed_rows, tail):
             assert a == b
-        final_full, _, _, _, _ = load_checkpoint(full.final_checkpoint)
-        final_res, _, _, _, _ = load_checkpoint(resumed.final_checkpoint)
+        final_full, _, _, _ = load_checkpoint(full.final_checkpoint)
+        final_res, _, _, _ = load_checkpoint(resumed.final_checkpoint)
         for k, t in final_full.all_parameters().items():
             assert np.array_equal(t.data, final_res.all_parameters()[k].data)
 
@@ -351,7 +352,8 @@ class TestTrainLoop:
         rng.random(17)   # advance away from the seed state
         record = {"config": small_run(total=10, seed=11), "use_trtd": False}
         save_checkpoint(str(tmp_path / "ck"), models, optim, rng, 7, record)
-        loaded, optim2, rng2, step, run = load_checkpoint(str(tmp_path / "ck"))
+        loaded, rng2, step, run = load_checkpoint(str(tmp_path / "ck"))
+        optim2 = load_optimizer(str(tmp_path / "ck"), loaded, step, run)
         assert step == 7 and run == record
         assert optim2.config == cfg
         assert rng2.bit_generator.state == rng.bit_generator.state
@@ -442,7 +444,9 @@ class TestCheckpointFiles:
          lambda a: a.update({"disc.layer0.ffn.w1": a["disc.layer0.ffn.w1"][:, :5]})),
         ("optim.bin", "v/gen.layer0.attn.gate_u",
          lambda a: a.pop("v/gen.layer0.attn.gate_u")),
-    ], ids=["missing", "extra", "misshaped", "missing-moment"])
+        ("optim.bin", "m/disc.layer1.ffn.w2",
+         lambda a: a.update({"m/disc.layer1.ffn.w2": a["m/disc.layer1.ffn.w2"].T})),
+    ], ids=["missing", "extra", "misshaped", "missing-moment", "misshaped-moment"])
     def test_mismatch_names_the_tensor(self, tmp_path, capsys, file, tensor,
                                        edit):
         path = self.saved(tmp_path / "ck")
@@ -464,6 +468,47 @@ class TestCheckpointFiles:
         (existing / "run_config.json").write_bytes(b"earlier run")
         assert main(["eval", "--checkpoint", path, "--out", str(existing)]) == 2
         assert (existing / "run_config.json").read_bytes() == b"earlier run"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:-1], "truncated data for 'v/"),
+        (lambda raw: b"TSTORE00" + raw[8:], "bad magic"),
+    ], ids=["last-byte", "bad-magic"])
+    def test_damaged_moments_are_refused(self, tmp_path, capsys, edit, message):
+        # eval reads only optim.bin's record headers, yet refuses it as a
+        # resume, which reads the moments, would
+        path = self.saved(tmp_path / "ck")
+        optim_path = os.path.join(path, "optim.bin")
+        with open(optim_path, "rb") as fh:
+            raw = fh.read()
+        with open(optim_path, "wb") as fh:
+            fh.write(edit(raw))
+        with pytest.raises(serialize.FormatError, match=re.escape(message)):
+            load_checkpoint(path)
+        code = main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and message in err
+        assert err.startswith('error code=FormatError msg="')
+
+    def test_load_reads_parameters_and_no_moment(self, tmp_path):
+        # a default-size pair: its 1.1 MB of parameters outweigh the
+        # loader's own objects, and optim.bin holds 4x their bytes
+        config = copy.deepcopy(DEFAULT_CONFIG)
+        models = _model_pair(config, len(_build_corpus(config).vocab))
+        path = str(tmp_path / "ck")
+        save_checkpoint(path, models, Adam(models.all_parameters(),
+                                           OptimConfig(**config["optim"])),
+                        np.random.default_rng(0), 0,
+                        {"config": config, "use_trtd": True})
+        del models
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * os.path.getsize(os.path.join(path, "params.bin"))
 
     def test_config_json_holds_only_the_step_and_run_record(self, tmp_path):
         path = self.saved(tmp_path / "ck", step=4)
@@ -506,5 +551,42 @@ class TestCheckpointFiles:
     def test_save_replaces_existing_checkpoint(self, tmp_path):
         self.saved(tmp_path / "ck", step=3)
         path = self.saved(tmp_path / "ck", step=5)
-        assert load_checkpoint(path)[3] == 5
+        assert load_checkpoint(path)[2] == 5
         assert os.listdir(tmp_path) == ["ck"]
+
+
+class TestSerialize:
+    def written(self, tmp_path):
+        path = str(tmp_path / "arrays.bin")
+        serialize.save_arrays(path, {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                     "b": np.ones((4, 0, 2)), "c": np.ones(5)})
+        return path
+
+    def test_shapes_are_those_of_the_loaded_arrays(self, tmp_path):
+        path = self.written(tmp_path)
+        arrays = serialize.load_arrays(path)
+        assert serialize.load_shapes(path) == {"a": (2, 3), "b": (4, 0, 2), "c": (5,)}
+        assert {k: a.shape for k, a in arrays.items()} == serialize.load_shapes(path)
+        assert arrays["a"].dtype == np.float32 and arrays["c"].dtype == np.float64
+        assert np.array_equal(arrays["a"], np.arange(6).reshape(2, 3))
+        assert np.array_equal(arrays["c"], np.ones(5))
+
+    # record "a": its dtype code follows the magic, the count, the name's
+    # length and the name (byte 8 + 4 + 4 + 1 = 17), and its 24 data bytes
+    # follow the code, the rank and two dims (byte 17 + 2 + 16 = 35)
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:-1], "truncated data for 'c'"),
+        (lambda raw: raw[:35 + 23], "truncated data for 'a'"),
+        (lambda raw: raw[:17] + bytes([7]) + raw[18:], "unknown dtype code 7 for 'a'"),
+        (lambda raw: b"TSTORE02" + raw[8:], "bad magic"),
+    ], ids=["last-byte", "first-record", "unknown-dtype", "bad-magic"])
+    def test_header_reader_refuses_what_load_arrays_refuses(self, tmp_path,
+                                                           edit, message):
+        path = self.written(tmp_path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(edit(raw))
+        for load in (serialize.load_arrays, serialize.load_shapes):
+            with pytest.raises(serialize.FormatError, match=re.escape(message)):
+                load(path)
