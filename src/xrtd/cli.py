@@ -2,12 +2,15 @@
 
 All randomness flows from the single config seed. `DEFAULT_CONFIG` is the
 only source of default values: the config classes of the other modules take
-every value from it. Every command writes a fully merged copy of its
-configuration into the output directory once its inputs pass validation,
-and exits nonzero with a single-line machine-parseable error on contract
-violations. A checkpoint carries its run's merged config, and `pretrain
---resume` and `eval` refuse a config that differs from it in a key that
-matters to them.
+every value from it. A run config is checked once, when `load_config` reads
+it: `_merge` refuses an unknown key and a non-integer count, and
+`check_config` every value that no command would run with, so every command
+refuses the same configs before it writes anything. Every command writes a
+fully merged copy of its configuration into the output directory once its
+inputs pass validation, and exits nonzero with a single-line
+machine-parseable error on contract violations. A checkpoint carries its
+run's merged config, and `pretrain --resume` and `eval` refuse a config that
+differs from it in a key that matters to them.
 """
 
 from __future__ import annotations
@@ -18,17 +21,18 @@ import csv
 import json
 import os
 import sys
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from . import align
-from .corpus import (Corpus, LanguageSpec, gold_alignment, synth_corpus,
+from .corpus import (Corpus, CorpusStats, gold_alignment, synth_corpus,
                      save_corpus_files)
 from .gradcheck import check_joint_gradients
-from .model import init_model_pair, pair_configs
+from .model import init_model_pair, pair_configs, pair_layout
 from .objectives import wrap_mono
-from .trainer import check_run, load_checkpoint, load_optimizer, train
+from .trainer import (OptimConfig, described_pair, language_specs,
+                      load_checkpoint, load_optimizer, train)
 
 DEFAULT_CONFIG: Dict = {
     "seed": 0,
@@ -106,12 +110,36 @@ def _merge(defaults: Dict, overrides: Dict, path: str = "") -> Dict:
     return merged
 
 
+def check_config(config: Dict) -> Dict:
+    """Returns the merged run `config`, or raises a ValueError for a value
+    that no command would run with. The classes that own a rule check their
+    sections (the model pair's over the languages' vocabulary); the other
+    ranges are stated here, each with its key."""
+    OptimConfig(**config["optim"])
+    pair_layout(*described_pair(config))   # with the pair's own rule on layers
+    data, ev = config["data"], config["eval"]
+    CorpusStats({}, data["alpha"])
+    for key, valid, rule in (
+            ("data.n_sentences", data["n_sentences"] >= 1, "be at least 1"),
+            ("data.token_budget", data["token_budget"] > 0, "be positive"),
+            ("data.mask_ratio", 0 < data["mask_ratio"] <= 1, "be in (0, 1]"),
+            ("data.checkpoint_every", data["checkpoint_every"] >= 0, "not be negative"),
+            ("eval.n_pairs", ev["n_pairs"] >= 2, "be at least 2"),   # retrieval ranks 2+
+            ("eval.ot_iters", ev["ot_iters"] >= 1, "be at least 1"),
+            ("eval.ot_eps", ev["ot_eps"] > 0, "be positive")):
+        if not valid:
+            raise ValueError(f"{key} must {rule}")
+    return config
+
+
 def load_config(path: str | None) -> Dict:
-    if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
-    with open(path) as fh:
-        overrides = json.load(fh)
-    return _merge(DEFAULT_CONFIG, overrides)
+    """The checked run config: `DEFAULT_CONFIG` merged with the JSON file
+    at `path`, if one is given."""
+    overrides = {}
+    if path is not None:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    return check_config(_merge(DEFAULT_CONFIG, overrides))
 
 
 def _write_config_copy(config: Dict, out_dir: str) -> None:
@@ -133,15 +161,9 @@ def _refuse_changed(checkpoint: str, saved: Dict, current: Dict, keys) -> None:
                           f"in {', '.join(changed)}")
 
 
-def _specs(config: Dict) -> List[LanguageSpec]:
-    return [LanguageSpec(**entry) for entry in config["data"]["languages"]]
-
-
 def _build_corpus(config: Dict) -> Corpus:
-    if config["data"]["n_sentences"] < 1:
-        raise ValueError("n_sentences must be at least 1")
     rng = np.random.default_rng(config["seed"])
-    return synth_corpus(_specs(config), config["data"]["n_sentences"], rng)
+    return synth_corpus(language_specs(config), config["data"]["n_sentences"], rng)
 
 
 def _model_pair(config: Dict, vocab_size: int):
@@ -170,7 +192,6 @@ def cmd_pretrain(args) -> int:
         resume = (load_optimizer(args.resume, models, step, run), rng, step)
     else:
         models, resume = _model_pair(config, len(corpus.vocab)), None
-    check_run(models, corpus, config, not args.no_trtd)   # fails before any output
     _write_config_copy(config, args.out)
     result = train(models, corpus, config, args.out, not args.no_trtd, resume)
     print(result.final_checkpoint)
@@ -181,14 +202,9 @@ def cmd_pretrain(args) -> int:
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     ev = config["eval"]
-    for key, least in (("n_pairs", 2), ("ot_iters", 1)):   # retrieval ranks 2 or more
-        if ev[key] < least:
-            raise ValueError(f"{key} must be at least {least}")
-    if ev["ot_eps"] <= 0:
-        raise ValueError("ot_eps must be positive")
     models, _, _, run = load_checkpoint(args.checkpoint)
     _refuse_changed(args.checkpoint, run["config"], config, EVAL_KEYS)
-    specs = _specs(config)
+    specs = language_specs(config)
     # fresh parallel sentences, never batched for training
     heldout = synth_corpus(specs, ev["n_pairs"],
                            np.random.default_rng(config["seed"] + 7777))

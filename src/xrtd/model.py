@@ -237,7 +237,8 @@ def _pair_names(gen: Dict, disc: Dict) -> Dict:
 
 def _check_pair(gen_config: ModelConfig, disc_config: ModelConfig) -> None:
     if gen_config.num_layers >= disc_config.num_layers:
-        raise ValueError("generator must have fewer layers than discriminator")
+        raise ValueError("the generator must have fewer layers (gen_layers) "
+                         "than the discriminator (disc_layers)")
     if (gen_config.vocab_size != disc_config.vocab_size or
             gen_config.hidden_size != disc_config.hidden_size):
         raise ValueError("shared embeddings require equal vocab and hidden sizes")

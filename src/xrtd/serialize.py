@@ -39,7 +39,7 @@ def save_arrays(path, arrays: Dict[str, np.ndarray]) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
+            arr = np.asarray(arr)   # tobytes() writes C order; a 0-d shape stays
             if arr.dtype not in _DTYPE_CODES:
                 raise FormatError(f"unsupported dtype {arr.dtype} for {name!r}")
             encoded = name.encode("utf-8")

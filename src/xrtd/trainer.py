@@ -4,7 +4,9 @@ One Adam optimizer updates both sub-models; each step consumes one
 monolingual batch and one translation-pair batch so every step sees all four
 loss terms. Checkpoints capture parameters, optimizer moments, the rng state
 and the run record (the merged config and the TRTD flag), so a resumed run
-reproduces the uninterrupted run bit for bit.
+reproduces the uninterrupted run bit for bit. The run config arrives
+checked: `cli.load_config` states every rule of a valid one, and `train`
+checks only that the model pair is the one the config describes.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ import math
 import os
 import shutil
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import serialize
 from .corpus import (Corpus, CorpusStats, LanguageSpec, build_vocab, draw_batch,
                      language_sampling_probs)
-from .model import ModelPair, model_pair_from_arrays, pair_configs, pair_layout
+from .model import (ModelConfig, ModelPair, model_pair_from_arrays, pair_configs,
+                    pair_layout)
 from .objectives import build_masked_batch, joint_loss, wrap_mono, wrap_pair
 from .tensor import Tensor, backward, no_grad, zero_grads
 
@@ -112,8 +115,11 @@ class Adam:
             g = grads[name] * scale
             if cfg.weight_decay > 0 and _decays(name):
                 p.data -= lr * cfg.weight_decay * p.data
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            m, v = self.m[name], self.v[name]   # updated in their own buffers
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
             p.data -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
         return norm
 
@@ -211,9 +217,15 @@ def save_checkpoint(path: str, models: ModelPair, optimizer: Adam,
         os.replace(tmp, path)
 
 
-def _vocab_size(config: Dict) -> int:
-    """Size of the vocabulary of the run `config`'s languages."""
-    return len(build_vocab([LanguageSpec(**e) for e in config["data"]["languages"]]))
+def language_specs(config: Dict) -> List[LanguageSpec]:
+    """One `LanguageSpec` per entry of the run `config`'s `data.languages`."""
+    return [LanguageSpec(**entry) for entry in config["data"]["languages"]]
+
+
+def described_pair(config: Dict) -> Tuple[ModelConfig, ModelConfig]:
+    """The generator and discriminator configs that the run `config`'s
+    `model` section describes, over its languages' vocabulary."""
+    return pair_configs(config["model"], len(build_vocab(language_specs(config))))
 
 
 def _check_shapes(path: str, found: Dict[str, tuple],
@@ -262,14 +274,13 @@ def load_checkpoint(path: str):
         raise ValueError(f"{path}: checkpoint predates the run record "
                          f"(config and use_trtd in config.json); train it again")
     run = {"config": saved["config"], "use_trtd": saved["use_trtd"]}
-    configs = pair_configs(run["config"]["model"], _vocab_size(run["config"]))
+    configs = described_pair(run["config"])
     layout = pair_layout(*configs)
     arrays = _load_checked(os.path.join(path, "params.bin"), layout)
     models = model_pair_from_arrays(*configs, arrays)
     optim_path = os.path.join(path, "optim.bin")
     _check_shapes(optim_path, serialize.load_shapes(optim_path),
                   _moment_shapes(layout))
-    OptimConfig(**run["config"]["optim"])   # the optim section must be valid too
     rng = np.random.default_rng()
     with open(os.path.join(path, "rng.json")) as fh:
         rng.bit_generator.state = json.load(fh)
@@ -291,36 +302,19 @@ class TrainResult:
     metrics_path: str
 
 
-def check_run(models: ModelPair, corpus: Corpus, config: Dict, use_trtd: bool):
-    """(optim config, mono sampler, pair sampler) of a run of `models` on
-    `corpus`; a ValueError if the `optim` or `data` section of the merged run
-    `config` is invalid or `models` is not the pair that `config` describes."""
-    for section, key in (("optim", "warmup_steps"), ("optim", "total_steps"),
-                         ("data", "token_budget"), ("data", "checkpoint_every")):
-        if type(config[section][key]) is not int:   # a bool is refused too
-            raise ValueError(f"{section}.{key} must be an integer")
-    optim_cfg = OptimConfig(**config["optim"])
-    data = config["data"]
-    if data["token_budget"] <= 0:
-        raise ValueError("token_budget must be positive")
-    if not 0 < data["mask_ratio"] <= 1:
-        raise ValueError("mask_ratio must be in (0, 1]")
-    if data["checkpoint_every"] < 0:
-        raise ValueError("checkpoint_every must not be negative")
-    described = pair_configs(config["model"], _vocab_size(config))
-    if (models.generator.config, models.discriminator.config) != described:
-        raise ValueError("the model pair is not the one that the config's "
-                         "model section and languages describe")
-    return (optim_cfg, *_samplers(corpus, data["alpha"], use_trtd))
-
-
 def train(models: ModelPair, corpus: Corpus, config: Dict, out_dir: str,
           use_trtd: bool,
           resume: Tuple[Adam, np.random.Generator, int] | None = None) -> TrainResult:
-    """Run the joint loop to `optim.total_steps` of the merged run `config`,
-    logging metrics per step; every checkpoint records `config` and `use_trtd`,
-    which describe `models`. A refused run raises before anything is written."""
-    optim_cfg, mono, pair = check_run(models, corpus, config, use_trtd)
+    """Run the joint loop to `optim.total_steps` of the run `config`, merged
+    and checked as `cli.load_config` returns it, logging metrics per step;
+    every checkpoint records `config` and `use_trtd`. A `models` that is not
+    the pair `config` describes raises a ValueError before anything is
+    written."""
+    if (models.generator.config, models.discriminator.config) != described_pair(config):
+        raise ValueError("the model pair is not the one that the config's "
+                         "model section and languages describe")
+    optim_cfg = OptimConfig(**config["optim"])
+    mono, pair = _samplers(corpus, config["data"]["alpha"], use_trtd)
     os.makedirs(out_dir, exist_ok=True)
     if resume is None:
         resume = (Adam(models.all_parameters(), optim_cfg),

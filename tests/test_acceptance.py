@@ -29,7 +29,7 @@ from xrtd.objectives import (SPECIAL_IDS, build_masked_batch,
                              generator_loss_tlm, sample_corruption, wrap_mono,
                              wrap_pair)
 from xrtd.tensor import Tensor
-from xrtd.trainer import heldout_disc_accuracy, load_checkpoint
+from xrtd.trainer import heldout_disc_accuracy, language_specs, load_checkpoint
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -171,9 +171,7 @@ def test_criterion_5_corruption_contract():
 
 def test_criterion_6_loss_baselines_at_init():
     config = cli.DEFAULT_CONFIG
-    corpus = synth_corpus([cli.LanguageSpec(**e)
-                           for e in config["data"]["languages"]],
-                          200, np.random.default_rng(0))
+    corpus = synth_corpus(language_specs(config), 200, np.random.default_rng(0))
     vocab = len(corpus.vocab)
     models = cli._model_pair(config, vocab)
     rng = np.random.default_rng(1)
@@ -290,9 +288,8 @@ def test_criterion_10_training_health(e2e):
     config = cli.load_config(None)
     models, _, _, _ = load_checkpoint(
         os.path.join(e2e["paths"]["full"], "ckpt_final"))
-    heldout = synth_corpus([cli.LanguageSpec(**e)
-                            for e in config["data"]["languages"]],
-                           200, np.random.default_rng(config["seed"] + 5555))
+    heldout = synth_corpus(language_specs(config), 200,
+                           np.random.default_rng(config["seed"] + 5555))
     acc = heldout_disc_accuracy(models, heldout, seed=config["seed"] + 6666,
                                 n_batches=10,
                                 token_budget=config["data"]["token_budget"],

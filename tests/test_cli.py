@@ -34,9 +34,9 @@ class TestConfig:
         assert load_config(None) == DEFAULT_CONFIG
 
     def test_merge_preserves_unset_defaults(self, tmp_path):
-        path = write_config(tmp_path, {"optim": {"total_steps": 7}})
+        path = write_config(tmp_path, {"optim": {"total_steps": 700}})
         config = load_config(path)
-        assert config["optim"]["total_steps"] == 7
+        assert config["optim"]["total_steps"] == 700
         assert config["optim"]["lr_peak"] == DEFAULT_CONFIG["optim"]["lr_peak"]
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
@@ -120,22 +120,35 @@ class TestErrors:
         ("data", "mask_ratio", 1.5, "ValueError"),
         ("data", "checkpoint_every", -2, "ValueError"),
         ("optim", "total_steps", 4.5, "ConfigError"),
+        ("optim", "total_steps", 2, "ValueError"),
+        ("model", "num_heads", 3, "ValueError"),
+        ("model", "gen_layers", 2, "ValueError"),
+        ("data", "languages", AX_LANGUAGES[:1], "ValueError"),
+        ("eval", "n_pairs", 1, "ValueError"),
+        ("eval", "ot_iters", 0, "ValueError"),
+        ("eval", "ot_eps", 0, "ValueError"),
     ], ids=["alpha", "n_sentences", "token_budget", "mask_ratio",
-            "checkpoint_every_negative", "total_steps_not_integer"])
+            "checkpoint_every_negative", "total_steps_not_integer",
+            "total_steps_not_above_warmup", "num_heads", "gen_layers", "one_language",
+            "n_pairs", "ot_iters", "ot_eps"])
     def test_bad_data_section_fails_before_any_output(self, tmp_path, capsys,
                                                       section, key, value,
                                                       error):
+        # every command refuses the config before it reads a checkpoint
         overrides = json.loads(json.dumps(TINY_OVERRIDES))
         overrides[section][key] = value
         cfg = write_config(tmp_path, overrides)
-        out = tmp_path / "run"
-        code = main(["pretrain", "--config", cfg, "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and key in err
-        assert err.startswith(f'error code={error} msg="')
-        assert not (out / "run_config.json").exists()
-        assert not (out / "metrics.csv").exists()
+        for command, *args in (
+                ("synth",), ("pretrain",),
+                ("eval", "--checkpoint", str(tmp_path / "missing"))):
+            out = tmp_path / command
+            code = main([command, "--config", cfg, "--out", str(out), *args])
+            assert code == 2, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and key in err
+            assert err.startswith(f'error code={error} msg="')
+            assert not (out / "run_config.json").exists()
+            assert not out.exists()
 
     def test_synth_refuses_zero_sentences_before_any_output(self, tmp_path, capsys):
         overrides = json.loads(json.dumps(TINY_OVERRIDES))

@@ -74,7 +74,8 @@ def training_steps(config, corpus, n: int):
     """Build the default model pair and run `n` training steps, yielding
     after each one."""
     models = cli._model_pair(config, len(corpus.vocab))
-    optim_cfg, *samplers = trainer.check_run(models, corpus, config, True)
+    optim_cfg = trainer.OptimConfig(**config["optim"])
+    samplers = trainer._samplers(corpus, config["data"]["alpha"], True)
     optimizer = trainer.Adam(models.all_parameters(), optim_cfg)
     rng = np.random.default_rng(config["seed"])
     for step in range(n):
@@ -122,7 +123,8 @@ def main(argv=None) -> None:
         report_steps(config, corpus, args.steps)
         return
     models = cli._model_pair(config, len(corpus.vocab))
-    optim_cfg, mono, pair = trainer.check_run(models, corpus, config, True)
+    optim_cfg = trainer.OptimConfig(**config["optim"])
+    mono, pair = trainer._samplers(corpus, config["data"]["alpha"], True)
     rng = np.random.default_rng(config["seed"])
     batches = trainer._draw_batches(mono, pair, config["data"]["token_budget"],
                                     config["data"]["mask_ratio"], rng)
