@@ -3,7 +3,8 @@
 All randomness flows from the single config seed. `DEFAULT_CONFIG` is the
 only source of default values: the config classes of the other modules take
 every value from it. A run config is checked once, when `load_config` reads
-it: `_merge` refuses an unknown key and a non-integer count, and
+it: `_merge` refuses an unknown key, a non-integer count and a non-number
+for a float key, and
 `check_config` every value that no command would run with, so every command
 refuses the same configs before it writes anything. Every command writes a
 fully merged copy of its configuration into the output directory once its
@@ -105,6 +106,8 @@ def _merge(defaults: Dict, overrides: Dict, path: str = "") -> Dict:
             merged[key] = _merge(defaults[key], value, where)
         elif type(defaults[key]) is int and type(value) is not int:
             raise ConfigError(f"{where!r} must be an integer")   # a count
+        elif type(defaults[key]) is float and type(value) not in (int, float):
+            raise ConfigError(f"{where!r} must be a number")     # not a bool
         else:
             merged[key] = copy.deepcopy(value)
     return merged

@@ -41,8 +41,8 @@ class ModelConfig:
                 f"num_heads {self.num_heads}")
         if self.role not in ("generator", "discriminator"):
             raise ValueError(f"unknown role {self.role!r}")
-        for name in ("num_layers", "hidden_size", "num_heads", "ffn_size",
-                     "vocab_size", "max_rel_distance"):
+        for name in ("hidden_size", "num_heads", "ffn_size", "vocab_size",
+                     "max_rel_distance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -207,6 +207,9 @@ def rtd_logits(h: Tensor, params: ModelParams) -> Tensor:
 def pair_configs(model: Dict, vocab_size: int) -> Tuple[ModelConfig, ModelConfig]:
     """The generator and discriminator configs that a run config's `model`
     section describes, over a vocabulary of `vocab_size` tokens."""
+    for layers in ("gen_layers", "disc_layers"):
+        if model[layers] <= 0:
+            raise ValueError(f"model.{layers} must be positive")
     return tuple(
         ModelConfig(num_layers=model[layers], hidden_size=model["hidden_size"],
                     num_heads=model["num_heads"], ffn_size=model["ffn_size"],

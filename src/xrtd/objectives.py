@@ -20,7 +20,8 @@ import numpy as np
 from .corpus import BOS, EOS, FIRST_CONTENT_ID, MASK, PAD, SEP
 from .model import ModelPair, ModelParams, encode, mlm_logits, rtd_logits
 from .tensor import (Tensor, binary_cross_entropy_with_logits, gather_rows,
-                     joined_sum, softmax_cross_entropy, two_threads)
+                     joined_sum, softmax_cross_entropy, two_threads,
+                     walk_ahead)
 
 SPECIAL_IDS = frozenset(range(FIRST_CONTENT_ID))
 
@@ -205,19 +206,26 @@ def joint_loss(mono: MaskedBatch, pair: MaskedBatch | None, models: ModelPair,
     first, the monolingual chain's before the pair chain's, so every output
     equals that of running the chains one after the other. Without a `pair`
     batch, the translation-pair terms (TLM and TRTD) are dropped, leaving
-    monolingual MLM + lambda * MRTD, and no thread is started.
+    monolingual MLM + lambda * MRTD; the MLM graph is then walked on a
+    second thread while the discriminator's forward runs here
+    (`tensor.walk_ahead`), and `backward` of the total adds its held leaf
+    gradients before it walks the MRTD graph, the order of a walk over the
+    whole sum.
     """
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     vocab = models.generator.config.vocab_size
     n_masked_mono = _n_masked(mono)
     mono_noise = rng.gumbel(size=(n_masked_mono, vocab))
-    mono_chain = functools.partial(_chain, mono, mono_noise, models,
-                                   generator_loss_mlm)
     if pair is None:
-        loss_mlm, loss_mrtd, acc_m, n_m = mono_chain()
+        loss_mlm, logits = generator_loss_mlm(mono, models.generator)
+        corrupt = _corrupt(mono, logits, mono_noise)
+        loss_mlm, (loss_mrtd, acc_m, n_m) = walk_ahead(
+            loss_mlm, lambda: discriminator_loss_rtd(corrupt, models.discriminator))
         total = loss_mlm + lam * loss_mrtd
     else:
+        mono_chain = functools.partial(_chain, mono, mono_noise, models,
+                                       generator_loss_mlm)
         n_masked_pair = _n_masked(pair)
         pair_noise = rng.gumbel(size=(n_masked_pair, vocab))
         pair_chain = functools.partial(_chain, pair, pair_noise, models,

@@ -73,6 +73,17 @@ training step joins its monolingual chain (MLM + lambda * MRTD) as the first
 group and its translation-pair chain (TLM + lambda * TRTD) as the second,
 because that is the order in which the sequential walk of
 `((mlm + lambda * mrtd) + tlm) + lambda * trtd` reaches them.
+
+`walk_ahead` uses the same rule for a term whose graph is complete before
+the rest of the loss is built: it walks that graph with gradient 1 on a
+second thread, holding every leaf contribution, while the calling thread
+builds the rest. The walked term's node has no parents; its closure adds
+the held contributions in the order they were made. In a sum whose first
+term it is, backward reaches it before the rest's graph, so each leaf again
+sums the early walk's contributions, then the rest's. A training step
+without translation pairs walks its MLM graph this way during the
+discriminator's forward, and the generator's tape is freed before the
+backward starts.
 """
 
 from __future__ import annotations
@@ -112,6 +123,7 @@ def no_grad():
 
 
 # per thread: `kept` is a list on the second thread of a `joined_sum` backward
+# and on the thread of a `walk_ahead` walk
 _second_walk = threading.local()
 
 
@@ -761,6 +773,46 @@ def joined_sum(first: Sequence[Tensor], second: Sequence[Tensor]) -> Tensor:
             node.add(contribution)
     out.node = Node((), bw, out.shape, out.dtype)
     return out
+
+
+def walk_ahead(term: Tensor, during: Callable) -> tuple:
+    """`(walked, during())`, with the scalar `term`'s graph walked with
+    gradient 1 on a second thread while `during` runs on this one.
+
+    `term`'s graph may share only leaves with what `during` builds. The walk
+    holds its leaf contributions (the held-leaf rule of the module
+    docstring). `walked` has `term`'s value and a node without parents;
+    when a backward reaches that node, its closure passes the held
+    contributions to their leaves in the order they were made, so a backward
+    that reaches `walked` before the rest of its graph gives each leaf the
+    bits of a walk through `term`. A gradient other than 1 there raises
+    `GradError` before any leaf changes. Under `no_grad`, or if `term` has
+    no node, `during` just runs, no thread starts and `walked` has no node.
+    The walk's thread has ended when this returns or raises.
+    """
+    if term.data.size != 1:
+        raise GradError(f"walk_ahead requires a scalar term, got shape {term.shape}")
+    walked = Tensor(term.data)
+    root = term.node
+    if not _GRAD_ENABLED or root is None:
+        return walked, during()
+    topo = _topo((root,))
+    one = np.ones_like(term.data)
+    kept: list = []
+
+    def walk():
+        _second_walk.kept = kept   # the thread ends with two_threads
+        root.accumulate(one)
+        _walk(topo)
+    done = two_threads(during, walk)[0]
+
+    def bw(g):
+        if not np.all(g == 1):
+            raise GradError("a term walked ahead takes gradient 1 only")
+        for node, contribution in kept:
+            node.accumulate(contribution)
+    walked.node = Node((), bw, walked.shape, walked.dtype)
+    return walked, done
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -50,7 +50,11 @@ class OptimConfig:
     lam: float
 
     def __post_init__(self):
-        self.adam_betas = tuple(self.adam_betas)
+        betas = self.adam_betas
+        if not (type(betas) in (list, tuple) and len(betas) == 2 and all(
+                type(b) in (int, float) and 0 <= b < 1 for b in betas)):
+            raise ValueError("adam_betas must be two numbers in [0, 1)")
+        self.adam_betas = tuple(betas)
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ValueError("need 0 <= warmup_steps < total_steps")
         for name in ("lr_peak", "adam_eps", "grad_clip", "lam"):

@@ -127,10 +127,17 @@ class TestErrors:
         ("eval", "n_pairs", 1, "ValueError"),
         ("eval", "ot_iters", 0, "ValueError"),
         ("eval", "ot_eps", 0, "ValueError"),
+        ("data", "mask_ratio", "0.3", "ConfigError"),
+        ("optim", "adam_betas", "x", "ValueError"),
+        ("optim", "adam_betas", [0.9, 1.5], "ValueError"),
+        ("model", "gen_layers", 0, "ValueError"),
+        ("model", "disc_layers", -1, "ValueError"),
     ], ids=["alpha", "n_sentences", "token_budget", "mask_ratio",
             "checkpoint_every_negative", "total_steps_not_integer",
             "total_steps_not_above_warmup", "num_heads", "gen_layers", "one_language",
-            "n_pairs", "ot_iters", "ot_eps"])
+            "n_pairs", "ot_iters", "ot_eps", "mask_ratio_string",
+            "adam_betas_string", "adam_betas_above_one", "gen_layers_zero",
+            "disc_layers_negative"])
     def test_bad_data_section_fails_before_any_output(self, tmp_path, capsys,
                                                       section, key, value,
                                                       error):

@@ -397,6 +397,48 @@ class TestJointLoss:
             assert p.grad.dtype == dtype, name
             assert np.array_equal(grads[name], p.grad), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_trtd_gradients_equal_the_sequential_sum_bit_for_bit(self, dtype):
+        # the reference builds mlm + lam * mrtd and walks it on one thread
+        models = tiny_pair() if dtype is np.float32 else widened(tiny_pair())
+        mono, _, _ = self.make_batches(28)
+        params = models.all_parameters()
+        total, report = joint_loss(mono, None, models, 7.0,
+                                   np.random.default_rng(5))
+        backward(total)
+        grads = {name: p.grad for name, p in params.items()}
+        zero_grads(params.values())
+
+        mlm, logits = generator_loss_mlm(mono, models.generator)
+        mrtd, acc, _ = discriminator_loss_rtd(
+            sample_corruption(mono, logits, np.random.default_rng(5)),
+            models.discriminator)
+        reference = mlm + 7.0 * mrtd
+        backward(reference)
+        assert total.data.dtype == reference.data.dtype
+        assert total.item() == reference.item() == report["total"]
+        assert (report["mlm"], report["mrtd"], report["disc_accuracy"]) == \
+            (mlm.item(), mrtd.item(), acc)
+        for name, p in params.items():
+            assert p.grad.dtype == dtype, name
+            assert np.array_equal(grads[name], p.grad), name
+
+    @pytest.mark.parametrize("with_pair", [False, True])
+    def test_gradients_change_only_when_backward_runs(self, with_pair):
+        models = tiny_pair()
+        mono, pair, _ = self.make_batches(29)
+        params = models.all_parameters()
+        held = {name: np.full(p.shape, 0.5, p.dtype) for name, p in params.items()}
+        for name, p in params.items():
+            p.grad = held[name]
+        total, _ = joint_loss(mono, pair if with_pair else None, models, 7.0,
+                              np.random.default_rng(6))
+        for name, p in params.items():
+            assert p.grad is held[name] and np.all(p.grad == 0.5), name
+        zero_grads(params.values())
+        backward(total)
+        assert all(p.grad is not None for p in params.values())
+
     def test_failing_pair_chain_raises_here_and_ends_its_thread(self):
         models = tiny_pair()
         mono, _, _ = self.make_batches(26)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 import threading
@@ -11,7 +12,9 @@ from xrtd.tensor import (DimensionError, GradError, Tensor, attend, backward,
                          binary_cross_entropy_with_logits, embedding, ffn,
                          gated_bias, gather_rows, joined_sum, layer_norm,
                          linear, matmul, no_grad, softmax,
-                         softmax_cross_entropy, two_threads, zero_grads)
+                         softmax_cross_entropy, two_threads, walk_ahead,
+                         zero_grads)
+from xrtd import tensor
 from xrtd.tensor import _sigmoid
 
 
@@ -850,6 +853,150 @@ class TestJoinedSum:
         backward(joined)
         with pytest.raises(GradError, match="already ran"):
             backward(joined)
+
+
+
+class TestWalkAhead:
+    """A term over the leaves `w` and `b` walked ahead while `during` builds
+    a second term over them, against the sum of the two walked on one
+    thread."""
+
+    @staticmethod
+    def term(w, b, sizes, seed):
+        rng = np.random.default_rng(seed)
+        total = None
+        for n in sizes:
+            x = Tensor(rng.normal(size=(n, 5)))
+            h = linear(x, w, b)
+            h = h * h
+            part = softmax(matmul(h, w.transpose((1, 0))) * 0.5).sum()
+            total = part if total is None else total + part
+        return total
+
+    def leaf_grads(self, dtype, ahead):
+        w, b = TestJoinedSum.leaves(dtype)
+        first = self.term(w, b, [4, 2], 13)
+
+        def during():
+            return self.term(w, b, [7, 3, 6], 14)
+        if ahead:
+            first, second = walk_ahead(first, during)
+            assert w.grad is None and b.grad is None
+        else:
+            second = during()
+        total = first + second * 3.0
+        backward(total)
+        return total, w.grad, b.grad
+
+    def check_against_the_sequential_sum(self, dtype):
+        ahead, sequential = self.leaf_grads(dtype, True), self.leaf_grads(dtype, False)
+        assert ahead[0].data.dtype == sequential[0].data.dtype
+        assert ahead[0].item() == sequential[0].item()
+        for got, want in zip(ahead[1:], sequential[1:]):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_value_and_leaf_gradients_equal_the_sequential_sum(self, dtype):
+        self.check_against_the_sequential_sum(dtype)
+
+    def test_same_bits_under_frequent_thread_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                self.check_against_the_sequential_sum(np.float32)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def gated_grads(self, finishes_first):
+        """Leaf gradients of TestJoinedSum's gated groups, each summed into
+        one term: the first walked ahead while `during` builds the second,
+        with the side `finishes_first` done before the other starts, or
+        added on one thread if it is None."""
+        go, built, walked = threading.Event(), threading.Event(), threading.Event()
+        go.set()
+        w, b = TestJoinedSum.leaves()
+        first = TestJoinedSum.gated_group(
+            w, b, [4, 2], 13, built if finishes_first == "during" else go, walked)
+
+        def during():
+            if finishes_first == "walk":
+                assert walked.wait(timeout=30), "the walk never finished"
+            second = TestJoinedSum.gated_group(w, b, [7, 3, 6], 14, go,
+                                               threading.Event())
+            built.set()
+            return second[0] + second[1] + second[2]
+        term = first[0] + first[1]
+        if finishes_first is None:
+            total = term + during()
+        else:
+            term, other = walk_ahead(term, during)
+            total = term + other
+        backward(total)
+        return w.grad, b.grad
+
+    @pytest.mark.parametrize("finishes_first", ["walk", "during"])
+    def test_same_bits_whichever_side_finishes_first(self, finishes_first):
+        ahead, sequential = self.gated_grads(finishes_first), self.gated_grads(None)
+        for got, want in zip(ahead, sequential):
+            assert np.array_equal(got, want)
+
+    def test_term_graph_is_walked_before_it_returns(self):
+        w, b = TestJoinedSum.leaves()
+        term = self.term(w, b, [4, 2], 13)
+        walked, _ = walk_ahead(term, lambda: None)
+        assert walked.item() == term.item()
+        assert term.node.parents is None      # walked, its closures freed
+        assert w.grad is None and b.grad is None
+        backward(walked)
+        w_ref, b_ref = TestJoinedSum.leaves()
+        backward(self.term(w_ref, b_ref, [4, 2], 13))
+        assert np.array_equal(w.grad, w_ref.grad)
+        assert np.array_equal(b.grad, b_ref.grad)
+
+    def test_gradient_other_than_one_refused_before_any_leaf_changes(self):
+        w, b = TestJoinedSum.leaves()
+        walked, _ = walk_ahead(self.term(w, b, [4, 2], 13), lambda: None)
+        with pytest.raises(GradError, match="gradient 1"):
+            backward(walked * 2.0)
+        assert w.grad is None and b.grad is None
+
+    def test_failing_during_raises_here_after_the_walk_ended(self):
+        w, b = TestJoinedSum.leaves()
+        term = self.term(w, b, [4, 2], 13)
+        caller = threading.current_thread()
+        threads = threading.active_count()
+
+        def during():
+            assert threading.current_thread() is caller
+            raise ValueError("during failed")
+        with pytest.raises(ValueError, match="during failed"):
+            walk_ahead(term, during)
+        assert threading.active_count() == threads
+
+    def test_non_scalar_term_refused(self):
+        w, _ = TestJoinedSum.leaves()
+        with pytest.raises(GradError, match="scalar"):
+            walk_ahead(w * 2.0, lambda: None)
+
+    @pytest.mark.parametrize("case", ["no_grad", "no_node"])
+    def test_no_thread_and_no_node_without_a_tape(self, monkeypatch, case):
+        def no_thread(here, there):
+            raise AssertionError("a thread was started")
+        monkeypatch.setattr(tensor, "two_threads", no_thread)
+        w, b = TestJoinedSum.leaves()
+        term = self.term(w, b, [4, 2], 13)
+        if case == "no_node":
+            term = Tensor(term.data)
+        context = no_grad() if case == "no_grad" else contextlib.nullcontext()
+        with context:
+            walked, done = walk_ahead(term, lambda: "done")
+        assert done == "done"
+        assert walked.node is None and walked.item() == term.item()
+        assert w.grad is None and b.grad is None
+        if case == "no_grad":
+            assert term.node.parents is not None    # not walked
 
 
 class TestTwoThreads:

@@ -26,6 +26,9 @@ from xrtd.trainer import (METRICS_COLUMNS, Adam, DivergenceError, OptimConfig,
 # traced bytes alive at the end of a default-config forward, with its loss
 # held: tools/memsites.py's "live at the end of the forward" under NumPy 2
 DEFAULT_FORWARD_LIVE_MB = 40.32
+# the same without translation pairs (--no-trtd), measured the same way; the
+# generator's tape is walked and freed during the discriminator's forward
+DEFAULT_ABLATED_FORWARD_LIVE_MB = 14.98
 
 
 def small_corpus(seed=0, n=60):
@@ -283,14 +286,16 @@ class TestTrainLoop:
                              | {id(total.node)})
         assert all(t.grad is not None for t in named.values())
 
-    def test_default_forward_leaves_no_more_alive_than_measured(self):
-        # one default-config forward, as tools/memsites.py runs it; under
-        # NumPy 1.x layers 1+ compute in float32 and it reads lower
+    @staticmethod
+    def default_forward_live_bytes(use_trtd):
+        """Traced bytes alive after one default-config forward, with its loss
+        held, as tools/memsites.py runs it; under NumPy 1.x layers 1+
+        compute in float32 and it reads lower."""
         config = copy.deepcopy(DEFAULT_CONFIG)
         corpus = _build_corpus(config)
         models = _model_pair(config, len(corpus.vocab))
         optim_cfg = OptimConfig(**config["optim"])
-        mono, pair = _samplers(corpus, config["data"]["alpha"], True)
+        mono, pair = _samplers(corpus, config["data"]["alpha"], use_trtd)
         rng = np.random.default_rng(config["seed"])
         batches = _draw_batches(mono, pair, config["data"]["token_budget"],
                                 config["data"]["mask_ratio"], rng)
@@ -301,7 +306,15 @@ class TestTrainLoop:
         finally:
             tracemalloc.stop()
         assert total.node is not None
+        return live
+
+    def test_default_forward_leaves_no_more_alive_than_measured(self):
+        live = self.default_forward_live_bytes(True)
         assert live < 1.1 * DEFAULT_FORWARD_LIVE_MB * 2 ** 20
+
+    def test_no_trtd_forward_leaves_no_more_alive_than_measured(self):
+        live = self.default_forward_live_bytes(False)
+        assert live < 1.1 * DEFAULT_ABLATED_FORWARD_LIVE_MB * 2 ** 20
 
     def test_train_leaves_no_thread_behind(self, tmp_path):
         corpus = small_corpus()

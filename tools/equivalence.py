@@ -15,13 +15,15 @@ in a temporary directory with BLAS pinned to one thread. Each output file,
 the input configs and each command's stdout are printed as `sha256  path`,
 the path relative to that directory.
 
-A last leg runs the first 80 steps of the default run (seed 0, its 2,000-step
-schedule) through `trainer.train`, in a subprocess with the same `src/` and
-BLAS pinning, and prints one sha256 per 20-step block over every parameter's
-gradient after each step, as `sha256  gradients/steps_<first>-<last>`. Some
-bit-level changes show only there: a changed memory layout in the gated
-bias's backward left the 12-step legs as they were and first moved the
-default run's gradients at step 54.
+Two last legs run the first 80 steps of the default run (seed 0, its
+2,000-step schedule) through `trainer.train`, each in a subprocess with the
+same `src/` and BLAS pinning, and print one sha256 per 20-step block over
+every parameter's gradient after each step: the full run as
+`sha256  gradients/steps_<first>-<last>`, then the `--no-trtd` run as
+`sha256  gradients_no_trtd/steps_<first>-<last>`. Some bit-level changes
+show only there: a changed memory layout in the gated bias's backward left
+the 12-step legs as they were and first moved the default run's gradients
+at step 54.
 """
 
 from __future__ import annotations
@@ -104,9 +106,11 @@ class _LastStepHashed(Exception):
     """Ends the gradient leg's run after its last hashed step."""
 
 
-def gradient_leg() -> None:
-    """Run the default run's first GRADIENT_STEPS steps and print a sha256
-    per GRADIENT_BLOCK steps over every parameter's gradient after each.
+def gradient_leg(use_trtd: bool, label: str) -> None:
+    """Run the default run's first GRADIENT_STEPS steps, with the
+    translation-pair terms if `use_trtd`, and print a sha256 per
+    GRADIENT_BLOCK steps over every parameter's gradient after each, under
+    `label`.
 
     It runs `trainer.train`, whose loop calls `train_step`, and wraps
     `Adam.step`, which reads the step's gradients and leaves them as they
@@ -129,7 +133,7 @@ def gradient_leg() -> None:
         norm = update(optimizer, lr)
         steps += 1
         if steps % GRADIENT_BLOCK == 0:
-            print(f"{digest.hexdigest()}  gradients/steps_"
+            print(f"{digest.hexdigest()}  {label}/steps_"
                   f"{steps - GRADIENT_BLOCK:02d}-{steps - 1:02d}")
             digest = hashlib.sha256()
         if steps == GRADIENT_STEPS:
@@ -142,30 +146,36 @@ def gradient_leg() -> None:
     models = cli._model_pair(config, len(corpus.vocab))
     with tempfile.TemporaryDirectory(prefix="xrtd-gradients-") as out:
         try:
-            trainer.train(models, corpus, config, out, True)
+            trainer.train(models, corpus, config, out, use_trtd)
         except _LastStepHashed:
             pass
 
 
-def gradient_lines() -> list:
-    """The gradient leg's lines, from a subprocess."""
-    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--gradients"],
+# the gradient legs: label -> whether the run keeps the translation-pair terms
+GRADIENT_LEGS = {"gradients": True, "gradients_no_trtd": False}
+
+
+def gradient_lines(label: str) -> list:
+    """The lines of the gradient leg `label`, from a subprocess."""
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), f"--{label}"],
                           env=_pinned_env(), capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit(f"gradients exited {done.returncode}: {done.stderr.strip()}")
+        sys.exit(f"{label} exited {done.returncode}: {done.stderr.strip()}")
     return done.stdout.splitlines()
 
 
 def main() -> None:
-    if sys.argv[1:] == ["--gradients"]:
-        gradient_leg()
+    label = sys.argv[1][2:] if len(sys.argv) == 2 else None
+    if label in GRADIENT_LEGS:
+        gradient_leg(GRADIENT_LEGS[label], label)
         return
     with tempfile.TemporaryDirectory(prefix="xrtd-equivalence-") as work:
         run_legs(work)
         for digest, path in digests(work):
             print(f"{digest}  {path}")
-    for line in gradient_lines():
-        print(line)
+    for label in GRADIENT_LEGS:
+        for line in gradient_lines(label):
+            print(line)
 
 
 if __name__ == "__main__":
